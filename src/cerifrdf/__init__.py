@@ -9,6 +9,7 @@ from .errors import (
     CerifError,
     DuplicateId,
     DuplicateObject,
+    EncodingError,
     FormatError,
     InvariantViolation,
     MalformedTagLine,

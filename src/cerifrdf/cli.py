@@ -294,10 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CerifError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CerifError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

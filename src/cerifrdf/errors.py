@@ -13,6 +13,10 @@ class UnknownCode(CerifError):
     """A translation-type code outside the accepted O/H/M set."""
 
 
+class EncodingError(CerifError):
+    """Input bytes do not decode in the expected or requested text encoding."""
+
+
 class XmlError(CerifError):
     """The document is not well-formed XML or not a CERIF-RDF document."""
 

@@ -11,7 +11,6 @@ counting segments from the end of the identifier.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -26,6 +25,7 @@ from .model import (
     parse_partial_date,
 )
 from .rdfxml import RecordSet
+from .store import read_utf8, write_atomic
 
 
 class ExchangeKind(Enum):
@@ -177,7 +177,7 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
     seen_names: set[str] = set()
     for key in sorted(rs.records):
         record = rs.records[key]
-        sub = RecordSet(namespaces=dict(rs.namespaces))
+        sub = RecordSet()
         sub.records[key] = record
         nested = set(record.relations) if isinstance(record, Project) else set()
         for rel in relations:
@@ -227,7 +227,7 @@ class IdRegistry:
         p = Path(path)
         if not p.exists():
             return registry
-        for lineno, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(read_utf8(p).splitlines(), start=1):
             if not line.strip():
                 continue
             fields = line.split("\t")
@@ -255,18 +255,8 @@ class IdRegistry:
             raise InvariantViolation("registry has no backing path")
         lines = [f"{org}\t{rtype}\t{ident}\t{format_partial_date(date)}"
                  for (org, rtype, ident), date in sorted(self.entries.items())]
-        payload = "".join(line + "\n" for line in lines)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent,
-                                   prefix=self.path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(self.path, "".join(line + "\n" for line in lines))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Rendering produces a human-readable HTML page whose machine-readable twin
 travels inside a comment opened by the CERIF-RDF marker.  Extraction does the
 inverse and is deliberately independent of everything around the block: it
 scans for verbatim rdf:RDF regions wherever they sit, inline or commented.
+
+The table rows of a rendered page follow the field table
+model.RECORD_FIELDS: one row per scalar field and one per bag item, in
+field order, under the field's label.
 """
 
 from __future__ import annotations
@@ -12,8 +16,14 @@ import html
 from dataclasses import dataclass, field
 
 from .errors import CerifError
-from .model import OrgUnit, Person, Project, Record
-from .rdfxml import CERIF_NS, RecordSet, parse_document, serialize_document
+from .model import (
+    RECORD_FIELDS,
+    Record,
+    format_partial_date,
+    join_semicolon_list,
+    status_token,
+)
+from .rdfxml import CERIF_NS, RecordSet, _scan_tag_end, parse_document, serialize_document
 
 EMBED_MARKER = "<!--CERIF-RDF"
 _OPEN = "<rdf:RDF"
@@ -28,20 +38,6 @@ class ExtractionResult:
     documents: list[tuple[RecordSet, int]] = field(default_factory=list)
     page_uri: str | None = None
     warnings: list[str] = field(default_factory=list)
-
-
-def _scan_tag_end(text: str, start: int) -> int | None:
-    quote: str | None = None
-    for i in range(start, len(text)):
-        c = text[i]
-        if quote:
-            if c == quote:
-                quote = None
-        elif c in "\"'":
-            quote = c
-        elif c == ">":
-            return i + 1
-    return None
 
 
 def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
@@ -88,82 +84,47 @@ def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
     return result
 
 
-def _tt_label(base: str, tt) -> str:
+# Bag item rows take the field label and one item and give (label, text).
+
+def _row_translated(label: str, tt) -> tuple[str, str]:
     code = tt.translation.value if tt.translation else "?"
-    return f"{base} ({tt.language}, {code})"
+    return f"{label} ({tt.language}, {code})", tt.text
 
 
-def _rows_project(p: Project) -> list[tuple[str, str]]:
-    rows = [("identifier", p.id)]
-    if p.status is not None:
-        token = p.status.value if hasattr(p.status, "value") else str(p.status)
-        rows.append(("status", token))
-    if p.start is not None:
-        rows.append(("start date", str(p.start)))
-    if p.end is not None:
-        rows.append(("end date", str(p.end)))
-    if p.uri is not None:
-        rows.append(("URI", p.uri))
-    if p.prize_awards:
-        rows.append(("prizes and awards", "; ".join(p.prize_awards)))
-    for tt in p.titles:
-        rows.append((_tt_label("title", tt), tt.text))
-    for tt in p.abstracts:
-        rows.append((_tt_label("abstract", tt), tt.text))
-    for tt in p.keywords:
-        rows.append((_tt_label("keywords", tt), tt.text))
-    for rel in p.relations:
-        rows.append(("relation",
-                     f"{rel.role}: {rel.source.kind}:{rel.source.id} -> "
-                     f"{rel.target.kind}:{rel.target.id}"))
-    return rows
+def _row_relation(label: str, rel) -> tuple[str, str]:
+    return label, (f"{rel.role}: {rel.source.kind}:{rel.source.id} -> "
+                   f"{rel.target.kind}:{rel.target.id}")
 
 
-def _rows_person(p: Person) -> list[tuple[str, str]]:
-    rows = [("identifier", p.id)]
-    if p.family_names:
-        rows.append(("family names", p.family_names))
-    if p.first_names:
-        rows.append(("first names", p.first_names))
-    if p.sex is not None:
-        rows.append(("sex", p.sex))
-    if p.prize_awards:
-        rows.append(("prizes and awards", "; ".join(p.prize_awards)))
-    if p.uri is not None:
-        rows.append(("URI", p.uri))
-    for sk in p.expert_skills:
-        value = sk.skill if sk.role is None else f"{sk.skill} (role: {sk.role})"
-        rows.append(("expert skill", value))
-    for contact in p.contacts:
-        parts = []
-        if contact.telephone is not None:
-            parts.append(f"telephone {contact.telephone}")
-        if contact.email is not None:
-            parts.append(f"email {contact.email}")
-        if contact.uri is not None:
-            parts.append(f"uri {contact.uri}")
-        rows.append(("contact", "; ".join(parts)))
-    return rows
+def _row_skill(label: str, sk) -> tuple[str, str]:
+    return label, sk.skill if sk.role is None else f"{sk.skill} (role: {sk.role})"
 
 
-def _rows_orgunit(o: OrgUnit) -> list[tuple[str, str]]:
-    rows = [("identifier", o.id)]
-    if o.acronym is not None:
-        rows.append(("acronym", o.acronym))
-    if o.prize_award is not None:
-        rows.append(("prize or award", o.prize_award))
-    if o.url is not None:
-        rows.append(("URL", o.url))
-    for tt in o.names:
-        rows.append((_tt_label("name", tt), tt.text))
-    for rel in o.ou_relations:
-        rows.append(("related org-unit", f"{rel.role}: orgunit:{rel.target}"))
-    for sk in o.expert_skills:
-        value = sk.skill if sk.role is None else f"{sk.skill} (role: {sk.role})"
-        rows.append(("expert skill", value))
-    for tt in o.descriptions:
-        rows.append((_tt_label("description", tt), tt.text))
-    return rows
+def _row_contact(label: str, contact) -> tuple[str, str]:
+    channels = zip(("telephone", "email", "uri"),
+                   (contact.telephone, contact.email, contact.uri))
+    return label, "; ".join(f"{name} {value}" for name, value in channels
+                            if value is not None)
+
+
+def _row_ou_relation(label: str, rel) -> tuple[str, str]:
+    return label, f"{rel.role}: orgunit:{rel.target}"
+
+
+# shape -> row renderer: a scalar shape formats its value as the row text, a
+# bag shape renders one row per item.
+_ROWS = {
+    "status": status_token,
+    "date": format_partial_date,
+    "text": str,
+    "sex": str,
+    "list": join_semicolon_list,
+    "translated": _row_translated,
+    "relations": _row_relation,
+    "skills": _row_skill,
+    "contacts": _row_contact,
+    "ou_relations": _row_ou_relation,
+}
 
 
 def render_html(record: Record, *, cerif_ns: str = CERIF_NS) -> str:
@@ -177,12 +138,16 @@ def render_html(record: Record, *, cerif_ns: str = CERIF_NS) -> str:
     rs.add(record)
     document = serialize_document(rs, cerif_ns=cerif_ns)
 
-    if isinstance(record, Project):
-        rows = _rows_project(record)
-    elif isinstance(record, Person):
-        rows = _rows_person(record)
-    else:
-        rows = _rows_orgunit(record)
+    rows = [("identifier", record.id)]
+    for spec in RECORD_FIELDS[type(record)]:
+        value = getattr(record, spec.attr)
+        if value != spec.default:
+            render = _ROWS[spec.shape]
+            if spec.parts:
+                for item in value:
+                    rows.append(render(spec.label, item))
+            else:
+                rows.append((spec.label, render(value)))
 
     key = record.key
     heading = html.escape(f"{key.kind} {key.id}")

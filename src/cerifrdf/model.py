@@ -9,7 +9,7 @@ which has to be able to look at broken records in order to report them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple, Union
 
@@ -72,6 +72,14 @@ class ProjectStatus(Enum):
 
 
 STATUS_BY_TOKEN = {s.value: s for s in ProjectStatus}
+
+#: Accepted person sex codes.
+SEX_CODES = ("M", "F")
+
+
+def status_token(status: ProjectStatus | str) -> str:
+    """Wire and display text of a project status, accepted token or not."""
+    return status.value if isinstance(status, ProjectStatus) else str(status)
 
 
 @dataclass(frozen=True)
@@ -324,3 +332,89 @@ class OrgUnit:
 
 
 Record = Union[Project, Person, OrgUnit]
+
+
+class Field(NamedTuple):
+    """How one record field looks on the wire, in the validator and on a page.
+
+    attr names the dataclass attribute and element its canonical wire
+    element.  shape is the value form every layer dispatches on: scalar
+    shapes (status, date, text, sex, list) are one literal element, bag
+    shapes hold one rdf:Bag item per value, and parts names the item element
+    followed by the elements inside it.  label is the HTML row label and
+    mandatory marks a field whose absence breaks the record.  default is the
+    dataclass default: a field counts as present when its value differs.
+    """
+
+    attr: str
+    element: str
+    shape: str
+    label: str
+    mandatory: bool = False
+    parts: tuple[str, ...] = ()
+    default: object = None
+
+
+def _field_table(cls, *specs: Field) -> tuple[Field, ...]:
+    defaults = {f.name: f.default for f in fields(cls)}
+    return tuple(spec._replace(default=defaults[spec.attr]) for spec in specs)
+
+
+#: Every field of each record kind except id, in dataclass order, which is
+#: also the order the serializer writes them in.
+RECORD_FIELDS: dict[type, tuple[Field, ...]] = {
+    Project: _field_table(
+        Project,
+        Field("status", "proj_status", "status", "status", mandatory=True),
+        Field("start", "proj_startdate", "date", "start date"),
+        Field("end", "proj_enddate", "date", "end date"),
+        Field("uri", "proj_uri", "text", "URI"),
+        Field("prize_awards", "proj_prizeaward", "list", "prizes and awards"),
+        Field("titles", "project-titles", "translated", "title", mandatory=True,
+              parts=("Project-title", "proj_title_language",
+                     "proj_title_trans_type", "proj_title")),
+        Field("abstracts", "project-abstracts", "translated", "abstract", mandatory=True,
+              parts=("Project-abstract", "proj_abs_language",
+                     "proj_abs_trans_type", "proj_abstract")),
+        Field("keywords", "project-keywords", "translated", "keywords",
+              parts=("Project-keyword", "proj_kw_language",
+                     "proj_kw_trans_type", "proj_keywords")),
+        Field("relations", "project-relations", "relations", "relation",
+              parts=("Project-relation",)),
+    ),
+    Person: _field_table(
+        Person,
+        Field("family_names", "person.per_family_names", "text", "family names",
+              mandatory=True),
+        Field("first_names", "person.per_first_names", "text", "first names"),
+        Field("sex", "person.per_sex", "sex", "sex"),
+        Field("prize_awards", "person.per_prize_awards", "list", "prizes and awards"),
+        Field("uri", "person.per_uri", "text", "URI"),
+        Field("expert_skills", "person.expert_skills", "skills", "expert skill",
+              parts=("person.expert_skill", "person.es.role", "person.es.id")),
+        Field("contacts", "person.contacts", "contacts", "contact",
+              parts=("contact", "contact.telephone", "contact.email", "contact.uri")),
+    ),
+    OrgUnit: _field_table(
+        OrgUnit,
+        Field("acronym", "orgunit.org_acronym", "text", "acronym"),
+        Field("prize_award", "orgunit.org_prizeaward", "text", "prize or award"),
+        Field("url", "orgunit.org_url", "text", "URL"),
+        Field("names", "orgunit.orgunit_names", "translated", "name", mandatory=True,
+              parts=("orgunit.orgunit_name", "orgunit.oun.language",
+                     "orgunit.oun.translation", "orgunit.oun.name")),
+        Field("ou_relations", "orgunit.ou_ou_relations", "ou_relations",
+              "related org-unit",
+              parts=("orgunit.ou_ou_relation", "orgunit.ou_ou_r.orgunit",
+                     "orgunit.ou_ou_r.role")),
+        Field("expert_skills", "orgunit.expert_skills", "skills", "expert skill",
+              parts=("orgunit.expert_skill", "orgunit.es.role", "orgunit.es.skill")),
+        Field("descriptions", "orgunit.descriptions", "translated", "description",
+              parts=("orgunit.description", "orgunit.od.language",
+                     "orgunit.od.translation", "orgunit.od.description")),
+    ),
+}
+
+#: Record class by the kind token used in keys and typed node names.
+RECORD_CLASSES: dict[str, type] = {"project": Project, "person": Person,
+                                   "orgunit": OrgUnit}

@@ -6,11 +6,14 @@ rdf:Bag containers for repeating groups, and resource= attributes for
 references.  Parsing is deliberately forgiving (unknown elements, stray
 whitespace, a missing cerif prefix declaration and legacy spellings all come
 back as warnings); writing is strict and byte-deterministic.
+
+Which elements a record kind has, in which order, and what value shape each
+holds comes from the field table model.RECORD_FIELDS; this module only knows
+how to read and write each shape.
 """
 
 from __future__ import annotations
 
-import io
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -20,15 +23,16 @@ from .errors import DuplicateId, InvariantViolation, MissingId, UnknownCode, Xml
 from .model import (
     Contact,
     ExpertSkill,
-    OrgUnit,
     OuOuRelation,
     PartialDate,
-    Person,
     Project,
     Record,
     RecordKey,
     Relation,
+    RECORD_CLASSES,
+    RECORD_FIELDS,
     RECORD_TYPES,
+    SEX_CODES,
     STATUS_BY_TOKEN,
     TranslatedText,
     collapse_ws,
@@ -37,20 +41,20 @@ from .model import (
     normalize_translation_code,
     parse_partial_date,
     split_semicolon_list,
+    status_token,
 )
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 CERIF_NS = "http://derpi.tuwien.ac.at/~andrei/cerif-rdf#"
 
-STANDARD_NAMESPACES = {"rdf": RDF_NS, "rdfs": RDFS_NS, "cerif": CERIF_NS}
-
 _RDF_BAG = f"{{{RDF_NS}}}Bag"
 _RDF_LI = f"{{{RDF_NS}}}li"
 
-# Canonical element spellings, each with the accepted alternative spellings.
-# The canonical column follows the worked record examples; the alternatives
-# cover the tabular naming style and a few attested one-off variants.
+# Accepted alternative spellings of canonical element names.  The canonical
+# column follows the worked record examples; the alternatives cover the
+# tabular naming style and a few attested one-off variants.  Every element
+# named in the field table is canonical, with or without alternatives.
 _ALIASES: dict[str, tuple[str, ...]] = {
     "project": ("project.project",),
     "person": ("person.person",),
@@ -62,65 +66,23 @@ _ALIASES: dict[str, tuple[str, ...]] = {
     "proj_prizeaward": ("proj_prize_award", "project.prizeawards", "project.prizeaward"),
     "project-titles": ("project.project-titles",),
     "Project-title": ("project.project-title",),
-    "proj_title_language": (),
     "proj_title_trans_type": ("proj_title_transl_type",),
-    "proj_title": (),
     "project-abstracts": ("project.project-abstracts",),
     "Project-abstract": ("project.project-abstract",),
-    "proj_abs_language": (),
     "proj_abs_trans_type": ("proj_abs_transl_type",),
     "proj_abstract": ("proj-abstract",),
     "project-keywords": ("project.project-keywords",),
     "Project-keyword": ("project.project-keyword",),
-    "proj_kw_language": (),
-    "proj_kw_trans_type": (),
     "proj_keywords": ("project.keywords",),
     "project-relations": ("project.project-relations",),
     "Project-relation": ("project.project-relation",),
-    "person.per_family_names": (),
-    "person.per_first_names": (),
-    "person.per_sex": (),
-    "person.per_prize_awards": (),
-    "person.per_uri": (),
-    "person.expert_skills": (),
-    "person.expert_skill": (),
-    "person.es.role": (),
-    "person.es.id": (),
-    "person.contacts": (),
-    "contact": (),
-    "contact.telephone": (),
-    "contact.email": (),
-    "contact.uri": (),
-    "orgunit.org_acronym": (),
-    "orgunit.org_prizeaward": (),
-    "orgunit.org_url": (),
-    "orgunit.orgunit_names": (),
-    "orgunit.orgunit_name": (),
-    "orgunit.oun.language": (),
-    "orgunit.oun.translation": (),
-    "orgunit.oun.name": (),
-    "orgunit.ou_ou_relations": (),
-    "orgunit.ou_ou_relation": (),
-    "orgunit.ou_ou_r.orgunit": (),
-    "orgunit.ou_ou_r.role": (),
-    "orgunit.expert_skills": (),
-    "orgunit.expert_skill": (),
-    "orgunit.es.role": (),
-    "orgunit.es.skill": (),
-    "orgunit.descriptions": (),
-    "orgunit.description": (),
-    "orgunit.od.language": (),
-    "orgunit.od.translation": (),
-    "orgunit.od.description": (),
-    "relations": (),
-    "relation": (),
-    "rel.role": (),
-    "rel.mandatory": (),
 }
 
-_ALIAS_LOOKUP: dict[str, str] = {}
+_CANONICAL = (*RECORD_CLASSES, "relations", "relation", "rel.role", "rel.mandatory",
+              *(name for table in RECORD_FIELDS.values() for spec in table
+                for name in (spec.element, *spec.parts)))
+_ALIAS_LOOKUP: dict[str, str] = {name.lower(): name for name in _CANONICAL}
 for _canonical, _variants in _ALIASES.items():
-    _ALIAS_LOOKUP[_canonical.lower()] = _canonical
     for _v in _variants:
         _ALIAS_LOOKUP[_v.lower()] = _canonical
 
@@ -155,7 +117,6 @@ class RecordSet:
 
     records: dict[RecordKey, Record] = field(default_factory=dict)
     relations: list[Relation] = field(default_factory=list)
-    namespaces: dict[str, str] = field(default_factory=lambda: dict(STANDARD_NAMESPACES))
 
     def add(self, record: Record) -> None:
         key = record.key
@@ -218,23 +179,10 @@ def _inject_namespaces(text: str, cerif_ns: str) -> tuple[str, list[str]]:
     if not missing:
         raise XmlError("undeclared namespace prefix not repairable from the root tag")
     insertion = "".join(f' xmlns:{p}="{u}"' for p, u in missing)
-    if head.rstrip().endswith("/>"):
-        cut = head.rindex("/>")
-        repaired = head[:cut] + insertion + head[cut:]
-    else:
-        cut = head.rindex(">")
-        repaired = head[:cut] + insertion + head[cut:]
+    cut = head.rindex("/>") if head.rstrip().endswith("/>") else head.rindex(">")
+    repaired = head[:cut] + insertion + head[cut:]
     warnings = [f"assumed namespace {u} for undeclared prefix {p}:" for p, u in missing]
     return text[:m.start()] + repaired + text[end:], warnings
-
-
-def _read_tree(text: str) -> tuple[ET.Element, dict[str, str]]:
-    namespaces: dict[str, str] = {}
-    iterator = ET.iterparse(io.StringIO(text), events=("start-ns",))
-    for _, (prefix, uri) in iterator:
-        namespaces.setdefault(prefix, uri)
-    root = iterator.root  # type: ignore[attr-defined]
-    return root, namespaces
 
 
 def _split_tag(tag: str) -> tuple[str | None, str]:
@@ -259,20 +207,15 @@ def _text_of(el: ET.Element) -> str:
     return collapse_ws("".join(el.itertext()))
 
 
-def _parse_date(raw: str, what: str, warnings: list[str]) -> PartialDate | None:
-    try:
-        return parse_partial_date(raw)
-    except Exception as exc:  # FormatError, reported not raised
-        warnings.append(f"unusable {what} {raw!r}: {exc}")
-        return None
-
-
-def _bag_items(container: ET.Element, warnings: list[str], where: str) -> list[ET.Element]:
-    """The inner elements of each non-empty rdf:li under the container's rdf:Bag."""
+def _read_bag(container: ET.Element, read_item, cerif_ns: str, warnings: list[str],
+              where: str) -> tuple:
+    """Values read from the inner element of each non-empty rdf:li under the
+    container's rdf:Bag; read_item may return None to drop an item.  Every
+    warning about the bag's structure comes before those about its items."""
     bags = [child for child in container if child.tag == _RDF_BAG]
     if not bags:
         warnings.append(f"{where}: no rdf:Bag inside container")
-        return []
+        return ()
     if len(bags) > 1:
         warnings.append(f"{where}: more than one rdf:Bag, extra ones ignored")
     items: list[ET.Element] = []
@@ -290,7 +233,8 @@ def _bag_items(container: ET.Element, warnings: list[str], where: str) -> list[E
         if len(inner) > 1:
             warnings.append(f"{where}: extra elements inside one list item ignored")
         items.append(inner[0])
-    return items
+    values = (read_item(item, cerif_ns, warnings, where) for item in items)
+    return tuple(value for value in values if value is not None)
 
 
 def _parse_translated(item: ET.Element, cerif_ns: str, warnings: list[str],
@@ -332,14 +276,14 @@ def _parse_skill(item: ET.Element, cerif_ns: str, warnings: list[str],
             warnings.append(f"{where}: foreign element ignored")
             continue
         if local.lower().endswith(".role"):
-            value = _text_of(child)
-            role = value or None
+            role = _text_of(child) or None
         else:
             skill = _text_of(child)
     return ExpertSkill(skill=skill, role=role)
 
 
-def _parse_contact(item: ET.Element, cerif_ns: str, warnings: list[str]) -> Contact:
+def _parse_contact(item: ET.Element, cerif_ns: str, warnings: list[str],
+                   where: str) -> Contact:
     fields = {"telephone": None, "email": None, "uri": None}
     for child in item:
         local = _cerif_local(child.tag, cerif_ns, warnings)
@@ -355,8 +299,8 @@ def _parse_contact(item: ET.Element, cerif_ns: str, warnings: list[str]) -> Cont
     return Contact(**fields)
 
 
-def _parse_ou_relation(item: ET.Element, cerif_ns: str,
-                       warnings: list[str]) -> OuOuRelation | None:
+def _parse_ou_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
+                       where: str) -> OuOuRelation | None:
     target = None
     role = ""
     for child in item:
@@ -375,8 +319,8 @@ def _parse_ou_relation(item: ET.Element, cerif_ns: str,
     return OuOuRelation(target=target, role=role)
 
 
-def _parse_relation(item: ET.Element, cerif_ns: str,
-                    warnings: list[str]) -> Relation | None:
+def _parse_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
+                    where: str) -> Relation | None:
     source = None
     target = None
     role = ""
@@ -411,16 +355,6 @@ def _parse_relation(item: ET.Element, cerif_ns: str,
     return Relation(source=source, target=target, role=role, mandatory=mandatory)
 
 
-def _relation_list(container: ET.Element, cerif_ns: str,
-                   warnings: list[str], where: str) -> list[Relation]:
-    out = []
-    for item in _bag_items(container, warnings, where):
-        rel = _parse_relation(item, cerif_ns, warnings)
-        if rel is not None:
-            out.append(rel)
-    return out
-
-
 def _record_id(el: ET.Element, kind: str) -> str:
     raw = el.attrib.get("ID")
     if raw is None:
@@ -431,167 +365,145 @@ def _record_id(el: ET.Element, kind: str) -> str:
     return ident
 
 
-def _trans_list(container, cerif_ns, warnings, where) -> list[TranslatedText]:
-    return [_parse_translated(item, cerif_ns, warnings, where)
-            for item in _bag_items(container, warnings, where)]
+# Scalar readers take the element text, "kind id" of the record for
+# warnings, the field spec and the warning list.
+
+def _read_status(token: str, owner: str, spec, warnings: list[str]):
+    if not token:
+        return None
+    status = STATUS_BY_TOKEN.get(token)
+    if status is None:
+        warnings.append(f"{owner}: unrecognized status {token!r}")
+        return token
+    return status
 
 
-def _skill_list(container, cerif_ns, warnings, where) -> list[ExpertSkill]:
-    return [_parse_skill(item, cerif_ns, warnings, where)
-            for item in _bag_items(container, warnings, where)]
+def _read_date(raw: str, owner: str, spec, warnings: list[str]) -> PartialDate | None:
+    if not raw:
+        return None
+    try:
+        return parse_partial_date(raw)
+    except Exception as exc:  # FormatError, reported not raised
+        warnings.append(f"unusable {spec.label} {raw!r}: {exc}")
+        return None
 
 
-def _parse_project(el: ET.Element, cerif_ns: str, warnings: list[str]) -> Project:
-    ident = _record_id(el, "project")
-    values: dict = {"status": None, "start": None, "end": None, "uri": None,
-                    "prize_awards": (), "titles": (), "abstracts": (),
-                    "keywords": (), "relations": ()}
-    seen: set[str] = set()
-
-    def once(name: str) -> bool:
-        if name in seen:
-            warnings.append(f"project {ident}: duplicate {name} element, first one kept")
-            return False
-        seen.add(name)
-        return True
-
-    for child in el:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"project {ident}: foreign element ignored")
-            continue
-        canonical, known = resolve_alias(local)
-        if canonical == "proj_status" and once(canonical):
-            token = _text_of(child)
-            if token:
-                status = STATUS_BY_TOKEN.get(token)
-                if status is None:
-                    warnings.append(f"project {ident}: unrecognized status {token!r}")
-                    values["status"] = token
-                else:
-                    values["status"] = status
-        elif canonical == "proj_startdate" and once(canonical):
-            raw = _text_of(child)
-            if raw:
-                values["start"] = _parse_date(raw, "start date", warnings)
-        elif canonical == "proj_enddate" and once(canonical):
-            raw = _text_of(child)
-            if raw:
-                values["end"] = _parse_date(raw, "end date", warnings)
-        elif canonical == "proj_uri" and once(canonical):
-            values["uri"] = _text_of(child) or None
-        elif canonical == "proj_prizeaward" and once(canonical):
-            values["prize_awards"] = tuple(split_semicolon_list(_text_of(child)))
-        elif canonical == "project-titles" and once(canonical):
-            values["titles"] = tuple(_trans_list(child, cerif_ns, warnings,
-                                                 f"project {ident} titles"))
-        elif canonical == "project-abstracts" and once(canonical):
-            values["abstracts"] = tuple(_trans_list(child, cerif_ns, warnings,
-                                                    f"project {ident} abstracts"))
-        elif canonical == "project-keywords" and once(canonical):
-            values["keywords"] = tuple(_trans_list(child, cerif_ns, warnings,
-                                                   f"project {ident} keywords"))
-        elif canonical == "project-relations" and once(canonical):
-            values["relations"] = tuple(_relation_list(child, cerif_ns, warnings,
-                                                       f"project {ident} relations"))
-        elif canonical in seen:
-            pass
-        else:
-            warnings.append(f"project {ident}: unknown element cerif:{local} ignored")
-    return Project(id=ident, **values)
+def _read_text(text: str, owner: str, spec, warnings: list[str]) -> str | None:
+    return text or spec.default
 
 
-def _parse_person(el: ET.Element, cerif_ns: str, warnings: list[str]) -> Person:
-    ident = _record_id(el, "person")
-    values: dict = {"family_names": "", "first_names": "", "sex": None,
-                    "prize_awards": (), "uri": None, "expert_skills": (),
-                    "contacts": ()}
-    seen: set[str] = set()
-    for child in el:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"person {ident}: foreign element ignored")
-            continue
-        canonical, known = resolve_alias(local)
-        if canonical in seen:
-            warnings.append(f"person {ident}: duplicate {canonical} element, first one kept")
-            continue
-        if canonical == "person.per_family_names":
-            values["family_names"] = _text_of(child)
-        elif canonical == "person.per_first_names":
-            values["first_names"] = _text_of(child)
-        elif canonical == "person.per_sex":
-            token = _text_of(child)
-            values["sex"] = token or None
-            if token and token not in ("M", "F"):
-                warnings.append(f"person {ident}: unrecognized sex code {token!r}")
-        elif canonical == "person.per_prize_awards":
-            values["prize_awards"] = tuple(split_semicolon_list(_text_of(child)))
-        elif canonical == "person.per_uri":
-            values["uri"] = _text_of(child) or None
-        elif canonical == "person.expert_skills":
-            values["expert_skills"] = tuple(_skill_list(child, cerif_ns, warnings,
-                                                        f"person {ident} skills"))
-        elif canonical == "person.contacts":
-            values["contacts"] = tuple(
-                _parse_contact(item, cerif_ns, warnings)
-                for item in _bag_items(child, warnings, f"person {ident} contacts"))
-        else:
-            warnings.append(f"person {ident}: unknown element cerif:{local} ignored")
-            continue
-        seen.add(canonical)
-    return Person(id=ident, **values)
+def _read_sex(token: str, owner: str, spec, warnings: list[str]) -> str | None:
+    if token and token not in SEX_CODES:
+        warnings.append(f"{owner}: unrecognized sex code {token!r}")
+    return token or None
 
 
-def _parse_orgunit(el: ET.Element, cerif_ns: str, warnings: list[str]) -> OrgUnit:
-    ident = _record_id(el, "orgunit")
-    values: dict = {"acronym": None, "prize_award": None, "url": None,
-                    "names": (), "ou_relations": (), "expert_skills": (),
-                    "descriptions": ()}
-    seen: set[str] = set()
-    for child in el:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"orgunit {ident}: foreign element ignored")
-            continue
-        canonical, known = resolve_alias(local)
-        if canonical in seen:
-            warnings.append(f"orgunit {ident}: duplicate {canonical} element, first one kept")
-            continue
-        if canonical == "orgunit.org_acronym":
-            values["acronym"] = _text_of(child) or None
-        elif canonical == "orgunit.org_prizeaward":
-            values["prize_award"] = _text_of(child) or None
-        elif canonical == "orgunit.org_url":
-            values["url"] = _text_of(child) or None
-        elif canonical == "orgunit.orgunit_names":
-            values["names"] = tuple(_trans_list(child, cerif_ns, warnings,
-                                                f"orgunit {ident} names"))
-        elif canonical == "orgunit.ou_ou_relations":
-            rels = []
-            for item in _bag_items(child, warnings, f"orgunit {ident} relations"):
-                rel = _parse_ou_relation(item, cerif_ns, warnings)
-                if rel is not None:
-                    rels.append(rel)
-            values["ou_relations"] = tuple(rels)
-        elif canonical == "orgunit.expert_skills":
-            values["expert_skills"] = tuple(_skill_list(child, cerif_ns, warnings,
-                                                        f"orgunit {ident} skills"))
-        elif canonical == "orgunit.descriptions":
-            values["descriptions"] = tuple(_trans_list(child, cerif_ns, warnings,
-                                                       f"orgunit {ident} descriptions"))
-        else:
-            warnings.append(f"orgunit {ident}: unknown element cerif:{local} ignored")
-            continue
-        seen.add(canonical)
-    return OrgUnit(id=ident, **values)
+def _read_list(text: str, owner: str, spec, warnings: list[str]) -> tuple[str, ...]:
+    return tuple(split_semicolon_list(text))
 
 
-_RECORD_PARSERS = {
-    "project": _parse_project,
-    "person": _parse_person,
-    "orgunit": _parse_orgunit,
+class _Writer:
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+
+    def line(self, depth: int, text: str) -> None:
+        self.lines.append("  " * depth + text)
+
+    def literal(self, depth: int, name: str, value: str) -> None:
+        self.line(depth, f"<cerif:{name}>{escape(value)}</cerif:{name}>")
+
+    def reference(self, depth: int, name: str, value: str) -> None:
+        self.line(depth, f"<cerif:{name} resource={quoteattr(value)}/>")
+
+
+# Bag item writers emit the children of one item element; parts is the
+# field's (item element, inner elements...) tuple.
+
+def _write_translated(w: _Writer, depth: int, parts, tt: TranslatedText) -> None:
+    _, language, translation, text = parts
+    w.literal(depth, language, tt.language)
+    w.literal(depth, translation, tt.translation.value if tt.translation else "")
+    w.literal(depth, text, tt.text)
+
+
+def _write_relation(w: _Writer, depth: int, parts, rel: Relation) -> None:
+    w.reference(depth, f"rel.from.{rel.source.kind}", rel.source.id)
+    w.reference(depth, f"rel.to.{rel.target.kind}", rel.target.id)
+    w.literal(depth, "rel.role", rel.role)
+    if rel.mandatory:
+        w.literal(depth, "rel.mandatory", "true")
+
+
+def _write_skill(w: _Writer, depth: int, parts, sk: ExpertSkill) -> None:
+    _, role, skill = parts
+    if sk.role is not None:
+        w.literal(depth, role, sk.role)
+    w.literal(depth, skill, sk.skill)
+
+
+def _write_contact(w: _Writer, depth: int, parts, contact: Contact) -> None:
+    for name, value in zip(parts[1:], (contact.telephone, contact.email, contact.uri)):
+        if value is not None:
+            w.literal(depth, name, value)
+
+
+def _write_ou_relation(w: _Writer, depth: int, parts, rel: OuOuRelation) -> None:
+    _, target, role = parts
+    w.reference(depth, target, rel.target)
+    w.literal(depth, role, rel.role)
+
+
+# shape -> (reader, writer).  A scalar shape reads element text and formats
+# its value as element text; a bag shape reads and writes one item.
+_SHAPES = {
+    "status": (_read_status, status_token),
+    "date": (_read_date, format_partial_date),
+    "text": (_read_text, str),
+    "sex": (_read_sex, str),
+    "list": (_read_list, join_semicolon_list),
+    "translated": (_parse_translated, _write_translated),
+    "relations": (_parse_relation, _write_relation),
+    "skills": (_parse_skill, _write_skill),
+    "contacts": (_parse_contact, _write_contact),
+    "ou_relations": (_parse_ou_relation, _write_ou_relation),
 }
+
+# record class -> canonical element -> (field spec, reader, the container's
+# last word, which names the bag in warnings)
+_ELEMENTS = {
+    cls: {spec.element: (spec, _SHAPES[spec.shape][0],
+                         re.split(r"[._-]", spec.element)[-1])
+          for spec in table}
+    for cls, table in RECORD_FIELDS.items()
+}
+
+
+def _parse_record(el: ET.Element, kind: str, cerif_ns: str,
+                  warnings: list[str]) -> Record:
+    cls = RECORD_CLASSES[kind]
+    elements = _ELEMENTS[cls]
+    ident = _record_id(el, kind)
+    owner = f"{kind} {ident}"
+    values: dict = {}
+    for child in el:
+        local = _cerif_local(child.tag, cerif_ns, warnings)
+        if local is None:
+            warnings.append(f"{owner}: foreign element ignored")
+            continue
+        canonical, _ = resolve_alias(local)
+        hit = elements.get(canonical)
+        if hit is None:
+            warnings.append(f"{owner}: unknown element cerif:{local} ignored")
+            continue
+        spec, read, word = hit
+        if spec.attr in values:
+            warnings.append(f"{owner}: duplicate {canonical} element, first one kept")
+        elif spec.parts:
+            values[spec.attr] = _read_bag(child, read, cerif_ns, warnings,
+                                          f"{owner} {word}")
+        else:
+            values[spec.attr] = read(_text_of(child), owner, spec, warnings)
+    return cls(id=ident, **values)
 
 
 def _parse(data: str | bytes, cerif_ns: str,
@@ -605,13 +517,13 @@ def _parse(data: str | bytes, cerif_ns: str,
         text = data
     warnings: list[str] = []
     try:
-        root, namespaces = _read_tree(text)
+        root = ET.fromstring(text)
     except ET.ParseError as exc:
         if "unbound prefix" not in str(exc):
             raise XmlError(f"not well-formed: {exc}") from None
         repaired, inject_warnings = _inject_namespaces(text, cerif_ns)
         try:
-            root, namespaces = _read_tree(repaired)
+            root = ET.fromstring(repaired)
         except ET.ParseError as exc2:
             raise XmlError(f"not well-formed: {exc2}") from None
         warnings.extend(inject_warnings)
@@ -620,7 +532,7 @@ def _parse(data: str | bytes, cerif_ns: str,
     if (uri, local) != (RDF_NS, "RDF"):
         raise XmlError(f"root element is {root.tag}, expected rdf:RDF")
 
-    rs = RecordSet(namespaces=namespaces)
+    rs = RecordSet()
     duplicates: list[RecordKey] = []
     for child in root:
         local = _cerif_local(child.tag, cerif_ns, warnings)
@@ -628,9 +540,8 @@ def _parse(data: str | bytes, cerif_ns: str,
             warnings.append("non-CERIF element under rdf:RDF ignored")
             continue
         canonical, known = resolve_alias(local)
-        parser = _RECORD_PARSERS.get(canonical)
-        if parser is not None:
-            record = parser(child, cerif_ns, warnings)
+        if canonical in RECORD_CLASSES:
+            record = _parse_record(child, canonical, cerif_ns, warnings)
             key = record.key
             if key in rs.records:
                 if not collect_duplicates:
@@ -639,7 +550,8 @@ def _parse(data: str | bytes, cerif_ns: str,
                 continue
             rs.records[key] = record
         elif canonical == "relations":
-            for rel in _relation_list(child, cerif_ns, warnings, "document relations"):
+            for rel in _read_bag(child, _parse_relation, cerif_ns, warnings,
+                                 "document relations"):
                 rs.add_relation(rel)
         else:
             warnings.append(f"unknown typed element cerif:{local} ignored")
@@ -669,35 +581,6 @@ def scan_duplicate_keys(data: str | bytes, *,
 # ---------------------------------------------------------------------------
 # serialization
 
-_TRANS_ELEMENTS = {
-    "titles": ("project-titles", "Project-title",
-               "proj_title_language", "proj_title_trans_type", "proj_title"),
-    "abstracts": ("project-abstracts", "Project-abstract",
-                  "proj_abs_language", "proj_abs_trans_type", "proj_abstract"),
-    "keywords": ("project-keywords", "Project-keyword",
-                 "proj_kw_language", "proj_kw_trans_type", "proj_keywords"),
-    "names": ("orgunit.orgunit_names", "orgunit.orgunit_name",
-              "orgunit.oun.language", "orgunit.oun.translation", "orgunit.oun.name"),
-    "descriptions": ("orgunit.descriptions", "orgunit.description",
-                     "orgunit.od.language", "orgunit.od.translation",
-                     "orgunit.od.description"),
-}
-
-
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-
-    def line(self, depth: int, text: str) -> None:
-        self.lines.append("  " * depth + text)
-
-    def literal(self, depth: int, name: str, value: str) -> None:
-        self.line(depth, f"<cerif:{name}>{escape(value)}</cerif:{name}>")
-
-    def reference(self, depth: int, name: str, value: str) -> None:
-        self.line(depth, f"<cerif:{name} resource={quoteattr(value)}/>")
-
-
 def _check_relation(rel: Relation, where: str) -> None:
     if rel.source == rel.target:
         raise InvariantViolation(f"{where}: relation with identical endpoints")
@@ -710,143 +593,31 @@ def _check_relation(rel: Relation, where: str) -> None:
         raise InvariantViolation(f"{where}: relation without a role")
 
 
-def _emit_relation(w: _Writer, depth: int, element: str, rel: Relation) -> None:
-    w.line(depth, f"<cerif:{element}>")
-    w.reference(depth + 1, f"rel.from.{rel.source.kind}", rel.source.id)
-    w.reference(depth + 1, f"rel.to.{rel.target.kind}", rel.target.id)
-    w.literal(depth + 1, "rel.role", rel.role)
-    if rel.mandatory:
-        w.literal(depth + 1, "rel.mandatory", "true")
-    w.line(depth, f"</cerif:{element}>")
-
-
-def _emit_trans_bag(w: _Writer, depth: int, group: str,
-                    items: tuple[TranslatedText, ...]) -> None:
-    container, item_el, lang_el, trans_el, text_el = _TRANS_ELEMENTS[group]
+def _write_bag(w: _Writer, depth: int, container: str, parts, items,
+               write_item) -> None:
     w.line(depth, f"<cerif:{container}>")
     w.line(depth + 1, "<rdf:Bag>")
-    for tt in items:
+    for item in items:
         w.line(depth + 2, "<rdf:li>")
-        w.line(depth + 3, f"<cerif:{item_el}>")
-        w.literal(depth + 4, lang_el, tt.language)
-        w.literal(depth + 4, trans_el, tt.translation.value if tt.translation else "")
-        w.literal(depth + 4, text_el, tt.text)
-        w.line(depth + 3, f"</cerif:{item_el}>")
+        w.line(depth + 3, f"<cerif:{parts[0]}>")
+        write_item(w, depth + 4, parts, item)
+        w.line(depth + 3, f"</cerif:{parts[0]}>")
         w.line(depth + 2, "</rdf:li>")
     w.line(depth + 1, "</rdf:Bag>")
     w.line(depth, f"</cerif:{container}>")
 
 
-def _emit_skill_bag(w: _Writer, depth: int, container: str, item_el: str,
-                    role_el: str, skill_el: str,
-                    skills: tuple[ExpertSkill, ...]) -> None:
-    w.line(depth, f"<cerif:{container}>")
-    w.line(depth + 1, "<rdf:Bag>")
-    for sk in skills:
-        w.line(depth + 2, "<rdf:li>")
-        w.line(depth + 3, f"<cerif:{item_el}>")
-        if sk.role is not None:
-            w.literal(depth + 4, role_el, sk.role)
-        w.literal(depth + 4, skill_el, sk.skill)
-        w.line(depth + 3, f"</cerif:{item_el}>")
-        w.line(depth + 2, "</rdf:li>")
-    w.line(depth + 1, "</rdf:Bag>")
-    w.line(depth, f"</cerif:{container}>")
-
-
-def _emit_project(w: _Writer, p: Project) -> None:
-    w.line(1, f"<cerif:project ID={quoteattr(p.id)}>")
-    if p.status is not None:
-        token = p.status.value if hasattr(p.status, "value") else str(p.status)
-        w.literal(2, "proj_status", token)
-    if p.start is not None:
-        w.literal(2, "proj_startdate", format_partial_date(p.start))
-    if p.end is not None:
-        w.literal(2, "proj_enddate", format_partial_date(p.end))
-    if p.uri is not None:
-        w.literal(2, "proj_uri", p.uri)
-    if p.prize_awards:
-        w.literal(2, "proj_prizeaward", join_semicolon_list(p.prize_awards))
-    if p.titles:
-        _emit_trans_bag(w, 2, "titles", p.titles)
-    if p.abstracts:
-        _emit_trans_bag(w, 2, "abstracts", p.abstracts)
-    if p.keywords:
-        _emit_trans_bag(w, 2, "keywords", p.keywords)
-    if p.relations:
-        w.line(2, "<cerif:project-relations>")
-        w.line(3, "<rdf:Bag>")
-        for rel in p.relations:
-            w.line(4, "<rdf:li>")
-            _emit_relation(w, 5, "Project-relation", rel)
-            w.line(4, "</rdf:li>")
-        w.line(3, "</rdf:Bag>")
-        w.line(2, "</cerif:project-relations>")
-    w.line(1, "</cerif:project>")
-
-
-def _emit_person(w: _Writer, p: Person) -> None:
-    w.line(1, f"<cerif:person ID={quoteattr(p.id)}>")
-    if p.family_names:
-        w.literal(2, "person.per_family_names", p.family_names)
-    if p.first_names:
-        w.literal(2, "person.per_first_names", p.first_names)
-    if p.sex is not None:
-        w.literal(2, "person.per_sex", p.sex)
-    if p.prize_awards:
-        w.literal(2, "person.per_prize_awards", join_semicolon_list(p.prize_awards))
-    if p.uri is not None:
-        w.literal(2, "person.per_uri", p.uri)
-    if p.expert_skills:
-        _emit_skill_bag(w, 2, "person.expert_skills", "person.expert_skill",
-                        "person.es.role", "person.es.id", p.expert_skills)
-    if p.contacts:
-        w.line(2, "<cerif:person.contacts>")
-        w.line(3, "<rdf:Bag>")
-        for contact in p.contacts:
-            w.line(4, "<rdf:li>")
-            w.line(5, "<cerif:contact>")
-            if contact.telephone is not None:
-                w.literal(6, "contact.telephone", contact.telephone)
-            if contact.email is not None:
-                w.literal(6, "contact.email", contact.email)
-            if contact.uri is not None:
-                w.literal(6, "contact.uri", contact.uri)
-            w.line(5, "</cerif:contact>")
-            w.line(4, "</rdf:li>")
-        w.line(3, "</rdf:Bag>")
-        w.line(2, "</cerif:person.contacts>")
-    w.line(1, "</cerif:person>")
-
-
-def _emit_orgunit(w: _Writer, o: OrgUnit) -> None:
-    w.line(1, f"<cerif:orgunit ID={quoteattr(o.id)}>")
-    if o.acronym is not None:
-        w.literal(2, "orgunit.org_acronym", o.acronym)
-    if o.prize_award is not None:
-        w.literal(2, "orgunit.org_prizeaward", o.prize_award)
-    if o.url is not None:
-        w.literal(2, "orgunit.org_url", o.url)
-    if o.names:
-        _emit_trans_bag(w, 2, "names", o.names)
-    if o.ou_relations:
-        w.line(2, "<cerif:orgunit.ou_ou_relations>")
-        w.line(3, "<rdf:Bag>")
-        for rel in o.ou_relations:
-            w.line(4, "<rdf:li>")
-            w.line(5, "<cerif:orgunit.ou_ou_relation>")
-            w.reference(6, "orgunit.ou_ou_r.orgunit", rel.target)
-            w.literal(6, "orgunit.ou_ou_r.role", rel.role)
-            w.line(5, "</cerif:orgunit.ou_ou_relation>")
-            w.line(4, "</rdf:li>")
-        w.line(3, "</rdf:Bag>")
-        w.line(2, "</cerif:orgunit.ou_ou_relations>")
-    if o.expert_skills:
-        _emit_skill_bag(w, 2, "orgunit.expert_skills", "orgunit.expert_skill",
-                        "orgunit.es.role", "orgunit.es.skill", o.expert_skills)
-    if o.descriptions:
-        _emit_trans_bag(w, 2, "descriptions", o.descriptions)
-    w.line(1, "</cerif:orgunit>")
+def _write_record(w: _Writer, kind: str, record: Record) -> None:
+    w.line(1, f"<cerif:{kind} ID={quoteattr(record.id)}>")
+    for spec in RECORD_FIELDS[type(record)]:
+        value = getattr(record, spec.attr)
+        if value != spec.default:
+            write = _SHAPES[spec.shape][1]
+            if spec.parts:
+                _write_bag(w, 2, spec.element, spec.parts, value, write)
+            else:
+                w.literal(2, spec.element, write(value))
+    w.line(1, f"</cerif:{kind}>")
 
 
 def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
@@ -869,9 +640,10 @@ def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
             if problems:
                 detail = "; ".join(v.message for v in problems)
                 raise InvariantViolation(f"{key.kind} {key.id}: {detail}")
-        if isinstance(record, Project):
-            for rel in record.relations:
-                _check_relation(rel, f"{key.kind} {key.id}")
+        for spec in RECORD_FIELDS[type(record)]:
+            if spec.shape == "relations":
+                for rel in getattr(record, spec.attr):
+                    _check_relation(rel, f"{key.kind} {key.id}")
     for rel in rs.relations:
         _check_relation(rel, "document relations")
 
@@ -880,21 +652,9 @@ def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
     w.lines.append(f'    xmlns:rdfs="{RDFS_NS}"')
     w.lines.append(f'    xmlns:cerif="{cerif_ns}">')
     for key in sorted(rs.records):
-        record = rs.records[key]
-        if isinstance(record, Project):
-            _emit_project(w, record)
-        elif isinstance(record, Person):
-            _emit_person(w, record)
-        else:
-            _emit_orgunit(w, record)
+        _write_record(w, key.kind, rs.records[key])
     if rs.relations:
-        w.line(1, "<cerif:relations>")
-        w.line(2, "<rdf:Bag>")
-        for rel in sorted(set(rs.relations), key=Relation.sort_key):
-            w.line(3, "<rdf:li>")
-            _emit_relation(w, 4, "relation", rel)
-            w.line(3, "</rdf:li>")
-        w.line(2, "</rdf:Bag>")
-        w.line(1, "</cerif:relations>")
+        _write_bag(w, 1, "relations", ("relation",),
+                   sorted(set(rs.relations), key=Relation.sort_key), _write_relation)
     w.lines.append("</rdf:RDF>")
     return "\n".join(w.lines) + "\n"

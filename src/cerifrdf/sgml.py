@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import MalformedTagLine, MissingId, UnterminatedRecord
+from .errors import EncodingError, MalformedTagLine, MissingId, UnterminatedRecord
 from .model import (
     Contact,
     ExpertSkill,
@@ -58,8 +58,15 @@ class LegacyRecord:
 
 def parse_sgml(data: str | bytes,
                encoding: str = "utf-8") -> tuple[list[LegacyRecord], list[str]]:
-    """Parse legacy export text into records plus unknown-tag warnings."""
-    text = data.decode(encoding) if isinstance(data, bytes) else data
+    """Parse legacy export text into records plus unknown-tag warnings.
+
+    Bytes are decoded with *encoding*; bytes that do not decode, or an
+    encoding name Python does not know, raise EncodingError.
+    """
+    try:
+        text = data.decode(encoding) if isinstance(data, bytes) else data
+    except (UnicodeDecodeError, LookupError) as exc:
+        raise EncodingError(f"export not readable as {encoding}: {exc}") from None
     records: list[LegacyRecord] = []
     warnings: list[str] = []
     entries: list[tuple[str, str]] | None = None

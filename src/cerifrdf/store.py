@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import FormatError, InvariantViolation
+from .errors import EncodingError, FormatError, InvariantViolation
 from .model import (
-    OrgUnit,
     PartialDate,
     Person,
     Project,
@@ -29,6 +28,7 @@ from .model import (
     TranslatedText,
     format_partial_date,
     parse_partial_date,
+    status_token,
 )
 from .rdfxml import CERIF_NS, RecordSet, parse_document, serialize_document
 
@@ -36,6 +36,28 @@ Triple = tuple[str, str, str]
 
 INDEX_FILE = "provenance.index"
 RELATIONS_FILE = "_relations.rdf"
+
+
+def read_utf8(path: Path) -> str:
+    """Text of a UTF-8 file; undecodable bytes raise EncodingError."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path}: not UTF-8: {exc}") from None
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace *path* with *text* through a temporary file in the same
+    directory, so readers see the old content or the new, never a mix."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class SourceKind(Enum):
@@ -129,7 +151,7 @@ class EquivalenceMap:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "EquivalenceMap":
-        return cls.from_text(Path(path).read_text("utf-8"))
+        return cls.from_text(read_utf8(Path(path)))
 
 
 def _tt_object(tt: TranslatedText) -> str:
@@ -197,9 +219,7 @@ class Store:
             if isinstance(record, Project):
                 relations.update(record.relations)
                 if record.status is not None:
-                    token = (record.status.value
-                             if hasattr(record.status, "value") else str(record.status))
-                    triples.add((subject, "status", token))
+                    triples.add((subject, "status", status_token(record.status)))
                 if record.start is not None:
                     triples.add((subject, "start", str(record.start)))
                 if record.end is not None:
@@ -318,16 +338,7 @@ class Store:
             _, prov = self.current[key]
             lines.append(f"{key.kind}:{key.id}\t{prov.source}\t"
                          f"{format_partial_date(prov.fetched)}\t{prov.kind.value}")
-        payload = "".join(line + "\n" for line in lines)
-        fd, tmp = tempfile.mkstemp(dir=root, prefix=INDEX_FILE, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, root / INDEX_FILE)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_atomic(root / INDEX_FILE, "".join(line + "\n" for line in lines))
 
     @classmethod
     def load(cls, directory: str | os.PathLike, *,
@@ -342,18 +353,21 @@ class Store:
         if not index_path.exists():
             return store
         provenance: dict[str, Provenance] = {}
-        for lineno, line in enumerate(index_path.read_text("utf-8").splitlines(),
-                                      start=1):
+        for lineno, line in enumerate(read_utf8(index_path).splitlines(), start=1):
             if not line.strip():
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
                 raise FormatError(f"{index_path}:{lineno}: expected 4 fields")
             subject, source, date_text, kind_text = fields
-            provenance[subject] = Provenance(source, parse_partial_date(date_text),
-                                             SourceKind(kind_text))
+            try:
+                kind = SourceKind(kind_text)
+            except ValueError:
+                raise FormatError(f"{index_path}:{lineno}: unknown source kind "
+                                  f"{kind_text!r}") from None
+            provenance[subject] = Provenance(source, parse_partial_date(date_text), kind)
         for path in sorted(root.glob("*.rdf")):
-            rs, _ = parse_document(path.read_text("utf-8"), cerif_ns=cerif_ns)
+            rs, _ = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
             store.relations.update(rs.relations)
             for key, record in rs.records.items():
                 subject = f"{key.kind}:{key.id}"

@@ -5,6 +5,10 @@ first, then any record whose mandatory relation points at a discarded record
 follows, repeated until nothing changes.  Dangling references to records that
 were never in the document are warnings, not discards, because documents may
 legitimately point across file boundaries.
+
+Which fields each record kind has, and which are mandatory, comes from the
+field table model.RECORD_FIELDS; this module only knows how to check each
+value shape.
 """
 
 from __future__ import annotations
@@ -14,14 +18,14 @@ from typing import Union
 
 from .model import (
     LANGUAGE_RE,
-    OrgUnit,
-    Person,
     Project,
     ProjectStatus,
     Record,
     RecordKey,
+    RECORD_FIELDS,
     RECORD_TYPES,
     Relation,
+    SEX_CODES,
     TranslatedText,
 )
 from .rdfxml import RecordSet
@@ -74,6 +78,22 @@ class DiscardReport:
                 for key, reason in self.discarded]
 
 
+# Checks of a present value (one that differs from the field's default) take
+# the field's attribute name, the value and the output list.
+
+def _check_status(prefix: str, status, out: list[Violation]) -> None:
+    if not isinstance(status, ProjectStatus):
+        out.append(Violation(prefix, "invalid",
+                             f"status token {status!r} not one of the "
+                             "four accepted values"))
+
+
+def _check_sex(prefix: str, sex, out: list[Violation]) -> None:
+    if sex not in SEX_CODES:
+        out.append(Violation(prefix, "invalid",
+                             f"sex code {sex!r} is neither M nor F"))
+
+
 def _check_translated(prefix: str, items: tuple[TranslatedText, ...],
                       out: list[Violation]) -> None:
     for i, tt in enumerate(items):
@@ -107,56 +127,76 @@ def _check_relations(prefix: str, relations: tuple[Relation, ...],
             out.append(Violation(prefix, "invalid", f"{where}: empty role"))
 
 
+def _check_skills(prefix: str, skills, out: list[Violation]) -> None:
+    for i, sk in enumerate(skills):
+        if not sk.skill:
+            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: empty skill"))
+
+
+def _check_contacts(prefix: str, contacts, out: list[Violation]) -> None:
+    for i, contact in enumerate(contacts):
+        if contact.is_empty:
+            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: no channel present"))
+
+
+def _check_ou_relations(prefix: str, relations, out: list[Violation]) -> None:
+    for i, rel in enumerate(relations):
+        if not rel.target:
+            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: empty target"))
+        if not rel.role:
+            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: empty role"))
+
+
+# shape -> (phase, check of a present value, message for a missing one).
+# Missing mandatory fields and scalar values are reported first (phase 0),
+# then the items of language-tagged bags (1), then all other items (2), each
+# phase in field order.  The order shows: it is the order of VIOLATION lines,
+# and the first breach names a record's discard reason.
+_SHAPES = {
+    "status": (0, _check_status, "no {} value"),
+    "date": (0, None, "no {}"),
+    "text": (0, None, "no {}"),
+    "sex": (0, _check_sex, "no {}"),
+    "list": (0, None, "no {}"),
+    "translated": (1, _check_translated, "no {}"),
+    "relations": (2, _check_relations, "no {}"),
+    "skills": (2, _check_skills, "no {}"),
+    "contacts": (2, _check_contacts, "no {}"),
+    "ou_relations": (2, _check_ou_relations, "no {}"),
+}
+
+
+def _plan(table) -> tuple:
+    """Ordered (attribute, default, check, missing message) steps; a None
+    check stands for the missing-field check of a mandatory field."""
+    steps = []
+    for spec in table:
+        phase, check, missing = _SHAPES[spec.shape]
+        message = missing.format(spec.attr.replace("_", " "))
+        if spec.mandatory:
+            steps.append((0, spec.attr, spec.default, None, message))
+        if check is not None:
+            steps.append((phase, spec.attr, spec.default, check, message))
+    steps.sort(key=lambda step: step[0])
+    return tuple(step[1:] for step in steps)
+
+
+# record class -> ordered steps of validate_record
+_PLANS = {cls: _plan(table) for cls, table in RECORD_FIELDS.items()}
+
+
 def validate_record(record: Record) -> list[Violation]:
     """Every missing mandatory field and type-invariant breach in *record*."""
     out: list[Violation] = []
     if not record.id:
         out.append(Violation("id", "missing", "empty identifier"))
-    if isinstance(record, Project):
-        if record.status is None:
-            out.append(Violation("status", "missing", "no status value"))
-        elif not isinstance(record.status, ProjectStatus):
-            out.append(Violation("status", "invalid",
-                                 f"status token {record.status!r} not one of the "
-                                 "four accepted values"))
-        if not record.titles:
-            out.append(Violation("titles", "missing", "no titles"))
-        if not record.abstracts:
-            out.append(Violation("abstracts", "missing", "no abstracts"))
-        _check_translated("titles", record.titles, out)
-        _check_translated("abstracts", record.abstracts, out)
-        _check_translated("keywords", record.keywords, out)
-        _check_relations("relations", record.relations, out)
-    elif isinstance(record, Person):
-        if not record.family_names:
-            out.append(Violation("family_names", "missing", "no family names"))
-        if record.sex is not None and record.sex not in ("M", "F"):
-            out.append(Violation("sex", "invalid",
-                                 f"sex code {record.sex!r} is neither M nor F"))
-        for i, sk in enumerate(record.expert_skills):
-            if not sk.skill:
-                out.append(Violation("expert_skills", "invalid",
-                                     f"expert_skills[{i}]: empty skill"))
-        for i, contact in enumerate(record.contacts):
-            if contact.is_empty:
-                out.append(Violation("contacts", "invalid",
-                                     f"contacts[{i}]: no channel present"))
-    elif isinstance(record, OrgUnit):
-        if not record.names:
-            out.append(Violation("names", "missing", "no names"))
-        _check_translated("names", record.names, out)
-        _check_translated("descriptions", record.descriptions, out)
-        for i, rel in enumerate(record.ou_relations):
-            if not rel.target:
-                out.append(Violation("ou_relations", "invalid",
-                                     f"ou_relations[{i}]: empty target"))
-            if not rel.role:
-                out.append(Violation("ou_relations", "invalid",
-                                     f"ou_relations[{i}]: empty role"))
-        for i, sk in enumerate(record.expert_skills):
-            if not sk.skill:
-                out.append(Violation("expert_skills", "invalid",
-                                     f"expert_skills[{i}]: empty skill"))
+    for attr, default, check, missing in _PLANS[type(record)]:
+        value = getattr(record, attr)
+        if value != default:
+            if check is not None:
+                check(attr, value, out)
+        elif check is None:
+            out.append(Violation(attr, "missing", missing))
     return out
 
 
@@ -169,16 +209,12 @@ def lint_record(record: Record, language_codes=None) -> list[str]:
             notes.append(f"project {record.id}: end date {record.end} lies before "
                          f"start date {record.start}")
     if language_codes is not None:
-        groups: list[tuple[str, tuple[TranslatedText, ...]]] = []
-        if isinstance(record, Project):
-            groups = [("titles", record.titles), ("abstracts", record.abstracts),
-                      ("keywords", record.keywords)]
-        elif isinstance(record, OrgUnit):
-            groups = [("names", record.names), ("descriptions", record.descriptions)]
-        for name, items in groups:
-            for i, tt in enumerate(items):
+        for spec in RECORD_FIELDS[type(record)]:
+            if spec.shape != "translated":
+                continue
+            for i, tt in enumerate(getattr(record, spec.attr)):
                 if LANGUAGE_RE.match(tt.language) and tt.language not in language_codes:
-                    notes.append(f"{record.key.kind} {record.id}: {name}[{i}] uses "
+                    notes.append(f"{record.key.kind} {record.id}: {spec.attr}[{i}] uses "
                                  f"unassigned language code {tt.language!r}")
     return notes
 
@@ -216,7 +252,7 @@ def apply_discard_cascade(rs: RecordSet, *,
             reasons.update(wave)
             changed = True
 
-    kept = RecordSet(namespaces=dict(rs.namespaces))
+    kept = RecordSet()
     for key, record in rs.records.items():
         if key not in reasons:
             kept.records[key] = record

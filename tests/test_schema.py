@@ -1,0 +1,41 @@
+"""The field table in model.py covers every record field and every shape."""
+
+from dataclasses import fields
+
+import pytest
+
+from cerifrdf import htmlbridge, rdfxml, validation
+from cerifrdf.model import RECORD_CLASSES, RECORD_FIELDS
+from cerifrdf.rdfxml import resolve_alias
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_CLASSES))
+def test_specs_follow_dataclass_fields(kind):
+    cls = RECORD_CLASSES[kind]
+    names = [f.name for f in fields(cls) if f.name != "id"]
+    assert [spec.attr for spec in RECORD_FIELDS[cls]] == names
+    defaults = {f.name: f.default for f in fields(cls)}
+    assert all(spec.default == defaults[spec.attr] for spec in RECORD_FIELDS[cls])
+
+
+def test_every_used_shape_has_reader_writer_and_row():
+    used = {spec.shape for table in RECORD_FIELDS.values() for spec in table}
+    for shape in used:
+        reader, writer = rdfxml._SHAPES[shape]
+        assert callable(reader) and callable(writer), shape
+        assert callable(htmlbridge._ROWS[shape]), shape
+        assert shape in validation._SHAPES, shape
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_CLASSES))
+def test_spec_elements_are_canonical(kind):
+    for spec in RECORD_FIELDS[RECORD_CLASSES[kind]]:
+        for element in (spec.element, *spec.parts):
+            assert resolve_alias(element) == (element, True)
+
+
+def test_bag_shapes_and_only_they_name_parts():
+    for table in RECORD_FIELDS.values():
+        for spec in table:
+            assert bool(spec.parts) == (spec.shape not in
+                                        ("status", "date", "text", "sex", "list"))
