@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import CerifError, FormatError, UnrecognizedName
+from .errors import CerifError, FormatError, InvariantViolation, UnrecognizedName
 from .exchange import (
     ExchangeKind,
     IdRegistry,
@@ -24,10 +24,15 @@ from .exchange import (
 )
 from .htmlbridge import extract_rdf, render_html
 from .model import PartialDate, parse_partial_date
-from .rdfxml import CERIF_NS, parse_document, serialize_document
+from .rdfxml import CERIF_NS, parse_document, parse_with_duplicates, serialize_document
 from .sgml import build_record_set, map_record, parse_sgml
 from .store import EquivalenceMap, Provenance, SourceKind, Store, TriplePattern
-from .validation import apply_discard_cascade, lint_record, validate_record
+from .validation import (
+    apply_discard_cascade,
+    duplicate_violations,
+    lint_record,
+    validate_record,
+)
 
 
 def _cerif_ns() -> str:
@@ -47,15 +52,13 @@ def _session_date(text: str) -> PartialDate:
 
 
 def cmd_validate(args) -> int:
-    from .validation import check_document_uniqueness
-
     ns = _cerif_ns()
     findings = False
     for path in args.paths:
-        data = Path(path).read_bytes()
-        rs, warnings = parse_document(data, cerif_ns=ns)
+        rs, warnings, duplicates = parse_with_duplicates(Path(path).read_bytes(),
+                                                         cerif_ns=ns)
         _warn(f"{path}: {w}" for w in warnings)
-        for violation in check_document_uniqueness(data, cerif_ns=ns):
+        for violation in duplicate_violations(duplicates):
             print(f"VIOLATION document - {violation.message}")
             findings = True
         for key in sorted(rs.records):
@@ -112,7 +115,7 @@ def cmd_extract(args) -> int:
         _warn(f"{path}: {w}" for w in result.warnings)
         if result.warnings:
             failures = True
-        for rs, offset in result.documents:
+        for (rs, offset), block in zip(result.documents, result.blocks):
             print(f"EXTRACTED {path} {offset} {len(rs.records)}")
             if out:
                 target = out / f"{Path(path).stem}.{offset}.rdf"
@@ -120,26 +123,8 @@ def cmd_extract(args) -> int:
                 # partial records a page may embed
                 target.write_text(
                     serialize_document(rs, cerif_ns=ns, validate=False)
-                    if args.canonical else
-                    _raw_block(Path(path).read_bytes(), offset), "utf-8")
+                    if args.canonical else block + "\n", "utf-8")
     return 1 if failures else 0
-
-
-def _raw_block(page: bytes, offset: int) -> str:
-    text = page.decode("utf-8", errors="replace")
-    prefix = 0
-    # walk characters until the encoded prefix reaches the byte offset
-    for i, ch in enumerate(text):
-        if prefix == offset:
-            start = i
-            break
-        prefix += len(ch.encode("utf-8"))
-    else:
-        start = len(text)
-    end = text.find("</rdf:RDF>", start)
-    if end < 0:
-        return text[start:]
-    return text[start:end + len("</rdf:RDF>")] + "\n"
 
 
 def cmd_render(args) -> int:
@@ -148,12 +133,18 @@ def cmd_render(args) -> int:
     _warn(f"{args.path}: {w}" for w in warnings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    skipped = False
     for key in sorted(rs.records):
-        page = render_html(rs.records[key], cerif_ns=ns)
+        try:
+            page = render_html(rs.records[key], cerif_ns=ns)
+        except InvariantViolation as exc:
+            _warn([f"skipped {exc}"])
+            skipped = True
+            continue
         file_name = f"{key.kind}.{key.id}.html"
         (out / file_name).write_text(page, "utf-8")
         print(file_name)
-    return 0
+    return 1 if skipped else 0
 
 
 def cmd_package(args) -> int:

@@ -21,6 +21,7 @@ from .model import (
     Project,
     RecordKey,
     RECORD_TYPES,
+    Relation,
     format_partial_date,
     parse_partial_date,
 )
@@ -172,7 +173,13 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
     if kind is not ExchangeKind.PER_OBJECT:
         raise InvariantViolation(f"cannot plan a session of kind {kind.value}")
 
-    relations = rs.all_relations()
+    # each record's relations, in all_relations order; a relation whose
+    # endpoints are equal is listed once
+    incident: dict[RecordKey, list[Relation]] = {}
+    for rel in rs.all_relations():
+        incident.setdefault(rel.source, []).append(rel)
+        if rel.target != rel.source:
+            incident.setdefault(rel.target, []).append(rel)
     out: list[tuple[ExchangeName, RecordSet]] = []
     seen_names: set[str] = set()
     for key in sorted(rs.records):
@@ -180,9 +187,7 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
         sub = RecordSet()
         sub.records[key] = record
         nested = set(record.relations) if isinstance(record, Project) else set()
-        for rel in relations:
-            if key in (rel.source, rel.target) and rel not in nested:
-                sub.add_relation(rel)
+        sub.relations = [rel for rel in incident.get(key, ()) if rel not in nested]
         name = ExchangeName(ExchangeKind.PER_OBJECT, organization, date,
                             key.kind, key.id)
         rendered = format_name(name)
@@ -204,8 +209,7 @@ def merge_session(files: list[tuple[ExchangeName, RecordSet]]) -> RecordSet:
                         f"conflicting copies of {key.kind} {key.id} in session")
                 continue
             merged.records[key] = record
-        for rel in sub.relations:
-            merged.add_relation(rel)
+    merged.extend_relations(rel for _, sub in files for rel in sub.relations)
     nested = {rel for record in merged.records.values()
               if isinstance(record, Project) for rel in record.relations}
     merged.relations = [rel for rel in merged.relations if rel not in nested]
@@ -314,9 +318,15 @@ def check_session(files: list[tuple[ExchangeName, RecordSet]],
                     f"{rel.target.kind}:{rel.target.id} missing from "
                     f"{format_name(files[index][0])}"))
 
+    # one pass over the registry, keeping only the session's (org, id) pairs
+    sent = {(name.organization, key.id) for name, sub in files for key in sub.records}
+    registered_types: dict[tuple[str, str], set[str]] = {}
+    for org, rtype, ident in registry.entries:
+        if (org, ident) in sent:
+            registered_types.setdefault((org, ident), set()).add(rtype)
     for name, sub in files:
         for key in sorted(sub.records):
-            other = registry.types_for(name.organization, key.id) - {key.kind}
+            other = registered_types.get((name.organization, key.id), set()) - {key.kind}
             if other:
                 listed = ", ".join(sorted(other))
                 issues.append(SessionIssue(

@@ -33,9 +33,11 @@ _CLOSE = "</rdf:RDF>"
 @dataclass
 class ExtractionResult:
     """Documents recovered from one page, each with the byte offset where its
-    rdf:RDF block starts, plus any per-block warnings."""
+    rdf:RDF block starts, plus any per-block warnings.  blocks holds the
+    verbatim text of each document's block, in the same order."""
 
     documents: list[tuple[RecordSet, int]] = field(default_factory=list)
+    blocks: list[str] = field(default_factory=list)
     page_uri: str | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -50,6 +52,9 @@ def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
     text = page.decode("utf-8", errors="replace") if isinstance(page, bytes) else page
     result = ExtractionResult(page_uri=page_uri)
     pos = 0
+    # the UTF-8 length of text[:counted], kept running so that each block's
+    # offset costs only the text since the block before
+    counted = counted_bytes = 0
     while True:
         i = text.find(_OPEN, pos)
         if i < 0:
@@ -59,7 +64,9 @@ def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
             pos = i + len(_OPEN)
             continue
         tag_end = _scan_tag_end(text, i)
-        offset = len(text[:i].encode("utf-8"))
+        counted_bytes += len(text[counted:i].encode("utf-8"))
+        counted = i
+        offset = counted_bytes
         if tag_end is None:
             result.warnings.append(f"offset {offset}: unterminated rdf:RDF start tag")
             break
@@ -79,6 +86,7 @@ def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
             result.warnings.append(f"offset {offset}: block skipped: {exc}")
         else:
             result.documents.append((rs, offset))
+            result.blocks.append(block)
             result.warnings.extend(f"offset {offset}: {w}" for w in block_warnings)
         pos = end
     return result

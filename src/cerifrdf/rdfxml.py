@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape, quoteattr
 
@@ -112,7 +113,8 @@ class RecordSet:
     relations holds document-level relation descriptions, those not nested
     inside any record.  Per-object exchange files for persons and org-units
     carry their incident relations this way, because only project records
-    embed relations directly.
+    embed relations directly.  It is a plain list, so add_relation's
+    duplicate test is linear; extend_relations adds many at once.
     """
 
     records: dict[RecordKey, Record] = field(default_factory=dict)
@@ -128,19 +130,16 @@ class RecordSet:
         if relation not in self.relations:
             self.relations.append(relation)
 
+    def extend_relations(self, relations: Iterable[Relation]) -> None:
+        """Append each relation not yet present, in order, in linear time."""
+        self.relations = list(dict.fromkeys([*self.relations, *relations]))
+
     def all_relations(self) -> list[Relation]:
         """Every relation in the set, nested ones first, without duplicates."""
-        seen: list[Relation] = []
-        for key in sorted(self.records):
-            record = self.records[key]
-            if isinstance(record, Project):
-                for rel in record.relations:
-                    if rel not in seen:
-                        seen.append(rel)
-        for rel in self.relations:
-            if rel not in seen:
-                seen.append(rel)
-        return seen
+        nested = [rel for key in sorted(self.records)
+                  if isinstance(self.records[key], Project)
+                  for rel in self.records[key].relations]
+        return list(dict.fromkeys([*nested, *self.relations]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordSet):
@@ -288,6 +287,7 @@ def _parse_contact(item: ET.Element, cerif_ns: str, warnings: list[str],
     for child in item:
         local = _cerif_local(child.tag, cerif_ns, warnings)
         if local is None:
+            warnings.append(f"{where}: foreign element ignored")
             continue
         lowered = local.lower()
         for name in fields:
@@ -306,6 +306,7 @@ def _parse_ou_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
     for child in item:
         local = _cerif_local(child.tag, cerif_ns, warnings)
         if local is None:
+            warnings.append(f"{where}: foreign element ignored")
             continue
         if local.lower().endswith(".role"):
             role = _text_of(child)
@@ -328,6 +329,7 @@ def _parse_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
     for child in item:
         local = _cerif_local(child.tag, cerif_ns, warnings)
         if local is None:
+            warnings.append(f"{where}: foreign element ignored")
             continue
         lowered = local.lower()
         if lowered.startswith("rel.from.") or lowered.startswith("rel.to."):
@@ -550,9 +552,8 @@ def _parse(data: str | bytes, cerif_ns: str,
                 continue
             rs.records[key] = record
         elif canonical == "relations":
-            for rel in _read_bag(child, _parse_relation, cerif_ns, warnings,
-                                 "document relations"):
-                rs.add_relation(rel)
+            rs.extend_relations(_read_bag(child, _parse_relation, cerif_ns,
+                                          warnings, "document relations"))
         else:
             warnings.append(f"unknown typed element cerif:{local} ignored")
     return rs, warnings, duplicates
@@ -569,6 +570,16 @@ def parse_document(data: str | bytes, *,
     """
     rs, warnings, _ = _parse(data, cerif_ns, collect_duplicates=False)
     return rs, warnings
+
+
+def parse_with_duplicates(data: str | bytes, *, cerif_ns: str = CERIF_NS
+                          ) -> tuple[RecordSet, list[str], list[RecordKey]]:
+    """parse_document for a document that may declare one (type, id) twice.
+
+    The first declaration is kept; each later one is listed in the third
+    value, in document order, instead of raising DuplicateId.
+    """
+    return _parse(data, cerif_ns, collect_duplicates=True)
 
 
 def scan_duplicate_keys(data: str | bytes, *,

@@ -280,6 +280,5 @@ def build_record_set(converted: list[ConvertedRecord]) -> tuple[RecordSet, list[
                                     "first version kept")
                 continue
             rs.records[key] = record
-        for rel in cv.relations:
-            rs.add_relation(rel)
+    rs.extend_relations(rel for cv in converted for rel in cv.relations)
     return rs, warnings

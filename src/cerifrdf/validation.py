@@ -224,10 +224,13 @@ def apply_discard_cascade(rs: RecordSet, *,
     """Split *rs* into kept and discarded records.
 
     Seeds are records with a non-empty validate_record result.  The cascade
-    then repeatedly discards any record whose mandatory relation targets an
-    already-discarded record, until stable.  With missing_targets_discard
-    set, a mandatory relation whose target never was in the set also pulls
-    its source down; by default such targets only matter to lint.
+    then discards, wave by wave, every kept record with a mandatory relation
+    to a record discarded in the wave before, until a wave is empty.  Such a
+    record is discarded because of the target of the first of those
+    relations in Relation.sort_key order.  With missing_targets_discard set,
+    a mandatory relation whose target never was in the set also pulls its
+    source down, in the first wave; by default such targets only matter to
+    lint.
     """
     reasons: dict[RecordKey, DiscardReason] = {}
     for key in sorted(rs.records):
@@ -235,22 +238,29 @@ def apply_discard_cascade(rs: RecordSet, *,
         if problems:
             reasons[key] = MissingMandatoryField(problems[0].field)
 
+    # mandatory edges by target, each list in sort_key order with its rank
+    by_target: dict[RecordKey, list[tuple[int, Relation]]] = {}
     relations = sorted(set(rs.all_relations()), key=Relation.sort_key)
-    changed = True
-    while changed:
-        changed = False
-        wave: dict[RecordKey, CascadeFrom] = {}
-        for rel in relations:
-            if not rel.mandatory:
-                continue
-            target_down = (rel.target in reasons
-                           or (missing_targets_discard and rel.target not in rs.records))
-            if (target_down and rel.source in rs.records
-                    and rel.source not in reasons and rel.source not in wave):
-                wave[rel.source] = CascadeFrom(rel.target)
-        if wave:
-            reasons.update(wave)
-            changed = True
+    for rank, rel in enumerate(relations):
+        if rel.mandatory:
+            by_target.setdefault(rel.target, []).append((rank, rel))
+
+    frontier = list(reasons)
+    if missing_targets_discard:
+        frontier += [target for target in by_target if target not in rs.records]
+    while frontier:
+        # A source still kept can only point at the last wave's records: an
+        # edge into an earlier wave would have pulled it down already.
+        wave: dict[RecordKey, tuple[int, RecordKey]] = {}
+        for target in frontier:
+            for rank, rel in by_target.get(target, ()):
+                source = rel.source
+                if (source in rs.records and source not in reasons
+                        and (source not in wave or rank < wave[source][0])):
+                    wave[source] = (rank, target)
+        for source, (_, target) in wave.items():
+            reasons[source] = CascadeFrom(target)
+        frontier = list(wave)
 
     kept = RecordSet()
     for key, record in rs.records.items():
@@ -261,17 +271,14 @@ def apply_discard_cascade(rs: RecordSet, *,
     return DiscardReport(kept=kept, discarded=discarded)
 
 
+def duplicate_violations(duplicates: list[RecordKey]) -> list[Violation]:
+    """One violation per (type, id) in *duplicates*, in first-seen order."""
+    return [Violation("id", "invalid", f"{key.kind} {key.id} declared more than once")
+            for key in dict.fromkeys(duplicates)]
+
+
 def check_document_uniqueness(data: str | bytes, *, cerif_ns=None) -> list[Violation]:
     """Report each (type, id) declared more than once in the raw document."""
     from .rdfxml import CERIF_NS, scan_duplicate_keys
 
-    duplicates = scan_duplicate_keys(data, cerif_ns=cerif_ns or CERIF_NS)
-    seen: set[RecordKey] = set()
-    out: list[Violation] = []
-    for key in duplicates:
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Violation("id", "invalid",
-                             f"{key.kind} {key.id} declared more than once"))
-    return out
+    return duplicate_violations(scan_duplicate_keys(data, cerif_ns=cerif_ns or CERIF_NS))

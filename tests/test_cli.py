@@ -82,6 +82,27 @@ def test_validate_unreadable_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_validate_reports_duplicate_ids(tmp_path, capsys):
+    doc = """<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+         xmlns:cerif="http://derpi.tuwien.ac.at/~andrei/cerif-rdf#">
+  <cerif:person ID="1">
+    <cerif:person.per_family_names>First</cerif:person.per_family_names>
+  </cerif:person>
+  <cerif:person ID="1">
+    <cerif:person.per_sex>X</cerif:person.per_sex>
+  </cerif:person>
+</rdf:RDF>
+"""
+    path = tmp_path / "twice.rdf"
+    path.write_text(doc, "utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    # the first copy is the one validated, and it is clean
+    assert captured.out == "VIOLATION document - person 1 declared more than once\n"
+    assert "error:" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # convert-sgml
 
@@ -159,6 +180,47 @@ def test_render_then_extract_round_trip(tmp_path, capsys):
     assert code == 0
     assert captured.out.startswith(f"EXTRACTED {page} ")
     assert captured.out.strip().endswith(" 1")
+
+
+def test_render_skips_invalid_record(tmp_path, capsys):
+    rs = RecordSet()
+    rs.add(Person(id="1", family_names="One"))
+    rs.add(Person(id="2", sex="X"))
+    rs.add(Person(id="3", family_names="Three"))
+    doc = tmp_path / "people.rdf"
+    doc.write_text(serialize_document(rs, validate=False), "utf-8")
+    pages = tmp_path / "pages"
+    code = main(["render", str(doc), "--out", str(pages)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["person.1.html", "person.3.html"]
+    assert sorted(p.name for p in pages.iterdir()) == ["person.1.html", "person.3.html"]
+    assert captured.err.splitlines()[-1] == (
+        "warning: skipped person 2: no family names; "
+        "sex code 'X' is neither M nor F")
+
+
+def test_extract_out_writes_blocks_verbatim(tmp_path, capsys):
+    rs = RecordSet()
+    rs.add(Person(id="273", family_names="Niedermayer"))
+    block = serialize_document(rs).rstrip("\n")
+    page = "".join(f"<p>Größe {i} – ü</p>\n<!--CERIF-RDF\n{block}\n-->\n"
+                   for i in range(3))
+    path = tmp_path / "page.html"
+    path.write_bytes(page.encode("utf-8"))
+    out = tmp_path / "blocks"
+    code = main(["extract", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    data = page.encode("utf-8")
+    offsets, start = [], data.find(b"<rdf:RDF")
+    while start >= 0:
+        offsets.append(start)
+        start = data.find(b"<rdf:RDF", start + 1)
+    assert captured.out.splitlines() == [
+        f"EXTRACTED {path} {offset} 1" for offset in offsets]
+    for offset in offsets:
+        assert (out / f"page.{offset}.rdf").read_text("utf-8") == block + "\n"
 
 
 # ---------------------------------------------------------------------------

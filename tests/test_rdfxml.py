@@ -289,6 +289,67 @@ def test_relation_without_endpoint_dropped():
     assert any("both endpoints" in w for w in warnings)
 
 
+FOREIGN = '<x:fax xmlns:x="http://example.org/other#">+43 1 999</x:fax>'
+
+
+def bag(container: str, item: str, inner: str) -> str:
+    return (f"<cerif:{container}><rdf:Bag><rdf:li><cerif:{item}>{inner}"
+            f"</cerif:{item}></rdf:li></rdf:Bag></cerif:{container}>")
+
+
+def test_foreign_element_in_contact_warns():
+    doc = wrap('<cerif:person ID="1">'
+               "<cerif:person.per_family_names>Muster</cerif:person.per_family_names>"
+               + bag("person.contacts", "contact",
+                     "<cerif:contact.email>m@example.org</cerif:contact.email>"
+                     + FOREIGN)
+               + "</cerif:person>")
+    rs, warnings = parse_document(doc)
+    contact = rs.records[RecordKey("person", "1")].contacts[0]
+    assert (contact.email, contact.telephone) == ("m@example.org", None)
+    assert warnings == ["person 1 contacts: foreign element ignored"]
+
+
+def test_foreign_element_in_ou_relation_warns():
+    doc = wrap('<cerif:orgunit ID="O1">'
+               + bag("orgunit.ou_ou_relations", "orgunit.ou_ou_relation",
+                     '<cerif:orgunit.ou_ou_r.orgunit resource="O2"/>'
+                     "<cerif:orgunit.ou_ou_r.role>parent</cerif:orgunit.ou_ou_r.role>"
+                     + FOREIGN)
+               + "</cerif:orgunit>")
+    rs, warnings = parse_document(doc)
+    assert rs.records[RecordKey("orgunit", "O1")].ou_relations == (
+        OuOuRelation(target="O2", role="parent"),)
+    assert warnings == ["orgunit O1 relations: foreign element ignored"]
+
+
+def test_foreign_element_in_relation_warns():
+    doc = wrap(bag("relations", "relation",
+                   '<cerif:rel.from.orgunit resource="O1"/>'
+                   '<cerif:rel.to.project resource="P1"/>'
+                   "<cerif:rel.role>runs</cerif:rel.role>" + FOREIGN))
+    rs, warnings = parse_document(doc)
+    assert rs.relations == [Relation(RecordKey("orgunit", "O1"),
+                                     RecordKey("project", "P1"), role="runs")]
+    assert warnings == ["document relations: foreign element ignored"]
+
+
+def test_document_relations_deduplicated_in_order():
+    rels = [Relation(RecordKey("orgunit", str(i % 3)), RecordKey("project", "P1"),
+                     role="runs") for i in (2, 0, 2, 1, 0)]
+    rs = RecordSet(relations=rels)
+    text = serialize_document(rs)
+    parts = text.split("<rdf:li>")
+    doubled = "<rdf:li>".join([*parts[:2], parts[1], *parts[2:]])
+    parsed, warnings = parse_document(doubled)
+    assert warnings == []
+    assert parsed.relations == sorted(set(rels), key=Relation.sort_key)
+    assert RecordSet(relations=rels).all_relations() == rels[:2] + [rels[3]]
+    grown = RecordSet(relations=[rels[3]])
+    grown.extend_relations(rels)
+    assert grown.relations == [rels[3], rels[0], rels[1]]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
