@@ -18,11 +18,11 @@ from pathlib import Path
 from .errors import DuplicateObject, FormatError, InvariantViolation, UnrecognizedName
 from .model import (
     PartialDate,
-    Project,
     RecordKey,
     RECORD_TYPES,
     Relation,
     format_partial_date,
+    nested_relations,
     parse_partial_date,
 )
 from .rdfxml import RecordSet
@@ -186,7 +186,7 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
         record = rs.records[key]
         sub = RecordSet()
         sub.records[key] = record
-        nested = set(record.relations) if isinstance(record, Project) else set()
+        nested = set(nested_relations(record))
         sub.relations = [rel for rel in incident.get(key, ()) if rel not in nested]
         name = ExchangeName(ExchangeKind.PER_OBJECT, organization, date,
                             key.kind, key.id)
@@ -211,7 +211,7 @@ def merge_session(files: list[tuple[ExchangeName, RecordSet]]) -> RecordSet:
             merged.records[key] = record
     merged.extend_relations(rel for _, sub in files for rel in sub.relations)
     nested = {rel for record in merged.records.values()
-              if isinstance(record, Project) for rel in record.relations}
+              for rel in nested_relations(record)}
     merged.relations = [rel for rel in merged.relations if rel not in nested]
     return merged
 
@@ -250,9 +250,6 @@ class IdRegistry:
             return False
         self.entries[key] = date
         return True
-
-    def types_for(self, org: str, ident: str) -> set[str]:
-        return {rtype for (o, rtype, i) in self.entries if o == org and i == ident}
 
     def save(self) -> None:
         if self.path is None:

@@ -47,26 +47,25 @@ def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
     """Pull every parseable CERIF-RDF block out of *page*.
 
     Blocks that fail to parse are reported in warnings and skipped; offsets
-    are byte offsets into the UTF-8 form of the page and strictly increase.
+    are byte offsets into the page, or into the UTF-8 form of a text page,
+    and strictly increase.
     """
+    data = page if isinstance(page, bytes) else page.encode("utf-8", "surrogatepass")
     text = page.decode("utf-8", errors="replace") if isinstance(page, bytes) else page
     result = ExtractionResult(page_uri=page_uri)
+    # Decoding keeps every ASCII byte, so the n-th "<rdf:RDF" of the text is
+    # the n-th of the bytes; i and offset step through both in lockstep.
     pos = 0
-    # the UTF-8 length of text[:counted], kept running so that each block's
-    # offset costs only the text since the block before
-    counted = counted_bytes = 0
+    i = offset = -1
     while True:
-        i = text.find(_OPEN, pos)
+        i = text.find(_OPEN, i + 1)
         if i < 0:
             break
+        offset = data.find(b"<rdf:RDF", offset + 1)
         after = text[i + len(_OPEN):i + len(_OPEN) + 1]
-        if after not in ("", " ", "\t", "\r", "\n", ">", "/"):
-            pos = i + len(_OPEN)
+        if i < pos or after not in ("", " ", "\t", "\r", "\n", ">", "/"):
             continue
         tag_end = _scan_tag_end(text, i)
-        counted_bytes += len(text[counted:i].encode("utf-8"))
-        counted = i
-        offset = counted_bytes
         if tag_end is None:
             result.warnings.append(f"offset {offset}: unterminated rdf:RDF start tag")
             break

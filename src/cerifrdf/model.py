@@ -342,8 +342,11 @@ class Field(NamedTuple):
     shapes (status, date, text, sex, list) are one literal element, bag
     shapes hold one rdf:Bag item per value, and parts names the item element
     followed by the elements inside it.  label is the HTML row label and
-    mandatory marks a field whose absence breaks the record.  default is the
-    dataclass default: a field counts as present when its value differs.
+    mandatory marks a field whose absence breaks the record.  predicate
+    names the field's triples in the store; it defaults to attr for a
+    scalar field and is None for a bag whose items name their own.  default
+    is the dataclass default: a field counts as present when its value
+    differs.
     """
 
     attr: str
@@ -352,12 +355,16 @@ class Field(NamedTuple):
     label: str
     mandatory: bool = False
     parts: tuple[str, ...] = ()
+    predicate: str | None = None
     default: object = None
 
 
 def _field_table(cls, *specs: Field) -> tuple[Field, ...]:
     defaults = {f.name: f.default for f in fields(cls)}
-    return tuple(spec._replace(default=defaults[spec.attr]) for spec in specs)
+    return tuple(spec._replace(
+        default=defaults[spec.attr],
+        predicate=spec.predicate or (None if spec.parts else spec.attr))
+        for spec in specs)
 
 
 #: Every field of each record kind except id, in dataclass order, which is
@@ -369,16 +376,17 @@ RECORD_FIELDS: dict[type, tuple[Field, ...]] = {
         Field("start", "proj_startdate", "date", "start date"),
         Field("end", "proj_enddate", "date", "end date"),
         Field("uri", "proj_uri", "text", "URI"),
-        Field("prize_awards", "proj_prizeaward", "list", "prizes and awards"),
+        Field("prize_awards", "proj_prizeaward", "list", "prizes and awards",
+              predicate="prize_award"),
         Field("titles", "project-titles", "translated", "title", mandatory=True,
               parts=("Project-title", "proj_title_language",
-                     "proj_title_trans_type", "proj_title")),
+                     "proj_title_trans_type", "proj_title"), predicate="title"),
         Field("abstracts", "project-abstracts", "translated", "abstract", mandatory=True,
               parts=("Project-abstract", "proj_abs_language",
-                     "proj_abs_trans_type", "proj_abstract")),
+                     "proj_abs_trans_type", "proj_abstract"), predicate="abstract"),
         Field("keywords", "project-keywords", "translated", "keywords",
               parts=("Project-keyword", "proj_kw_language",
-                     "proj_kw_trans_type", "proj_keywords")),
+                     "proj_kw_trans_type", "proj_keywords"), predicate="keywords"),
         Field("relations", "project-relations", "relations", "relation",
               parts=("Project-relation",)),
     ),
@@ -388,10 +396,12 @@ RECORD_FIELDS: dict[type, tuple[Field, ...]] = {
               mandatory=True),
         Field("first_names", "person.per_first_names", "text", "first names"),
         Field("sex", "person.per_sex", "sex", "sex"),
-        Field("prize_awards", "person.per_prize_awards", "list", "prizes and awards"),
+        Field("prize_awards", "person.per_prize_awards", "list", "prizes and awards",
+              predicate="prize_award"),
         Field("uri", "person.per_uri", "text", "URI"),
         Field("expert_skills", "person.expert_skills", "skills", "expert skill",
-              parts=("person.expert_skill", "person.es.role", "person.es.id")),
+              parts=("person.expert_skill", "person.es.role", "person.es.id"),
+              predicate="expert_skill"),
         Field("contacts", "person.contacts", "contacts", "contact",
               parts=("contact", "contact.telephone", "contact.email", "contact.uri")),
     ),
@@ -402,18 +412,30 @@ RECORD_FIELDS: dict[type, tuple[Field, ...]] = {
         Field("url", "orgunit.org_url", "text", "URL"),
         Field("names", "orgunit.orgunit_names", "translated", "name", mandatory=True,
               parts=("orgunit.orgunit_name", "orgunit.oun.language",
-                     "orgunit.oun.translation", "orgunit.oun.name")),
+                     "orgunit.oun.translation", "orgunit.oun.name"), predicate="name"),
         Field("ou_relations", "orgunit.ou_ou_relations", "ou_relations",
               "related org-unit",
               parts=("orgunit.ou_ou_relation", "orgunit.ou_ou_r.orgunit",
                      "orgunit.ou_ou_r.role")),
         Field("expert_skills", "orgunit.expert_skills", "skills", "expert skill",
-              parts=("orgunit.expert_skill", "orgunit.es.role", "orgunit.es.skill")),
+              parts=("orgunit.expert_skill", "orgunit.es.role", "orgunit.es.skill"),
+              predicate="expert_skill"),
         Field("descriptions", "orgunit.descriptions", "translated", "description",
               parts=("orgunit.description", "orgunit.od.language",
-                     "orgunit.od.translation", "orgunit.od.description")),
+                     "orgunit.od.translation", "orgunit.od.description"),
+              predicate="description"),
     ),
 }
+
+#: Attributes of the fields that nest relations, by record class.
+_NESTING = {cls: [spec.attr for spec in table if spec.shape == "relations"]
+            for cls, table in RECORD_FIELDS.items()}
+
+
+def nested_relations(record: Record) -> tuple[Relation, ...]:
+    """The relations *record* carries inside itself."""
+    return tuple(rel for attr in _NESTING[type(record)] for rel in getattr(record, attr))
+
 
 #: Record class by the kind token used in keys and typed node names.
 RECORD_CLASSES: dict[str, type] = {"project": Project, "person": Person,

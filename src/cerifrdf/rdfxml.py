@@ -26,7 +26,6 @@ from .model import (
     ExpertSkill,
     OuOuRelation,
     PartialDate,
-    Project,
     Record,
     RecordKey,
     Relation,
@@ -39,6 +38,7 @@ from .model import (
     collapse_ws,
     format_partial_date,
     join_semicolon_list,
+    nested_relations,
     normalize_translation_code,
     parse_partial_date,
     split_semicolon_list,
@@ -137,8 +137,7 @@ class RecordSet:
     def all_relations(self) -> list[Relation]:
         """Every relation in the set, nested ones first, without duplicates."""
         nested = [rel for key in sorted(self.records)
-                  if isinstance(self.records[key], Project)
-                  for rel in self.records[key].relations]
+                  for rel in nested_relations(self.records[key])]
         return list(dict.fromkeys([*nested, *self.relations]))
 
     def __eq__(self, other: object) -> bool:
@@ -202,6 +201,17 @@ def _cerif_local(tag: str, cerif_ns: str, warnings: list[str]) -> str | None:
     return None
 
 
+def _cerif_children(el: ET.Element, cerif_ns: str, warnings: list[str], where: str):
+    """(child, local name) for each cerif child of *el*, in order; a child
+    from another namespace is warned about where it stands and skipped."""
+    for child in el:
+        local = _cerif_local(child.tag, cerif_ns, warnings)
+        if local is None:
+            warnings.append(f"{where}: foreign element ignored")
+        else:
+            yield child, local
+
+
 def _text_of(el: ET.Element) -> str:
     return collapse_ws("".join(el.itertext()))
 
@@ -242,11 +252,7 @@ def _parse_translated(item: ET.Element, cerif_ns: str, warnings: list[str],
     translation = None
     text = ""
     have_text = False
-    for child in item:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"{where}: foreign element ignored")
-            continue
+    for child, local in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         if "lang" in lowered:
             language = _text_of(child).lower()
@@ -269,11 +275,7 @@ def _parse_skill(item: ET.Element, cerif_ns: str, warnings: list[str],
                  where: str) -> ExpertSkill:
     role: str | None = None
     skill = ""
-    for child in item:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"{where}: foreign element ignored")
-            continue
+    for child, local in _cerif_children(item, cerif_ns, warnings, where):
         if local.lower().endswith(".role"):
             role = _text_of(child) or None
         else:
@@ -284,11 +286,7 @@ def _parse_skill(item: ET.Element, cerif_ns: str, warnings: list[str],
 def _parse_contact(item: ET.Element, cerif_ns: str, warnings: list[str],
                    where: str) -> Contact:
     fields = {"telephone": None, "email": None, "uri": None}
-    for child in item:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"{where}: foreign element ignored")
-            continue
+    for child, local in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         for name in fields:
             if lowered.endswith("." + name) or lowered == name:
@@ -303,11 +301,7 @@ def _parse_ou_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
                        where: str) -> OuOuRelation | None:
     target = None
     role = ""
-    for child in item:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"{where}: foreign element ignored")
-            continue
+    for child, local in _cerif_children(item, cerif_ns, warnings, where):
         if local.lower().endswith(".role"):
             role = _text_of(child)
         elif "resource" in child.attrib:
@@ -326,11 +320,7 @@ def _parse_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
     target = None
     role = ""
     mandatory = False
-    for child in item:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"{where}: foreign element ignored")
-            continue
+    for child, local in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         if lowered.startswith("rel.from.") or lowered.startswith("rel.to."):
             kind = lowered.rsplit(".", 1)[1]
@@ -487,11 +477,7 @@ def _parse_record(el: ET.Element, kind: str, cerif_ns: str,
     ident = _record_id(el, kind)
     owner = f"{kind} {ident}"
     values: dict = {}
-    for child in el:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
-            warnings.append(f"{owner}: foreign element ignored")
-            continue
+    for child, local in _cerif_children(el, cerif_ns, warnings, owner):
         canonical, _ = resolve_alias(local)
         hit = elements.get(canonical)
         if hit is None:
@@ -582,13 +568,6 @@ def parse_with_duplicates(data: str | bytes, *, cerif_ns: str = CERIF_NS
     return _parse(data, cerif_ns, collect_duplicates=True)
 
 
-def scan_duplicate_keys(data: str | bytes, *,
-                        cerif_ns: str = CERIF_NS) -> list[RecordKey]:
-    """Keys declared more than once, one entry per extra declaration."""
-    _, _, duplicates = _parse(data, cerif_ns, collect_duplicates=True)
-    return duplicates
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -651,10 +630,8 @@ def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
             if problems:
                 detail = "; ".join(v.message for v in problems)
                 raise InvariantViolation(f"{key.kind} {key.id}: {detail}")
-        for spec in RECORD_FIELDS[type(record)]:
-            if spec.shape == "relations":
-                for rel in getattr(record, spec.attr):
-                    _check_relation(rel, f"{key.kind} {key.id}")
+        for rel in nested_relations(record):
+            _check_relation(rel, f"{key.kind} {key.id}")
     for rel in rs.relations:
         _check_relation(rel, "document relations")
 

@@ -6,6 +6,13 @@ lexicographically greatest source, and every superseded version stays on an
 in-memory history list.  The current map therefore does not depend on the
 order files arrive in.  Queries flatten the store to subject-predicate-object
 triples and match patterns through optional equivalence classes of terms.
+
+The triple view walks the field table model.RECORD_FIELDS, as the reader and
+the writer do; this module only knows how to turn each value shape into
+triples.  Each record is flattened once: the store keeps every current
+record's triples next to the record object they came from, and reuses them
+only while the current map still holds that very object.  A merge, a load or
+a caller editing the current map directly therefore never sees stale triples.
 """
 
 from __future__ import annotations
@@ -20,10 +27,9 @@ from pathlib import Path
 from .errors import EncodingError, FormatError, InvariantViolation
 from .model import (
     PartialDate,
-    Person,
-    Project,
     Record,
     RecordKey,
+    RECORD_FIELDS,
     Relation,
     TranslatedText,
     format_partial_date,
@@ -163,6 +169,43 @@ def _skill_object(skill) -> str:
     return skill.skill if skill.role is None else f"[{skill.role}] {skill.skill}"
 
 
+def _relation_triple(rel: Relation) -> Triple:
+    return (f"{rel.source.kind}:{rel.source.id}", rel.role,
+            f"{rel.target.kind}:{rel.target.id}")
+
+
+# shape -> triple maker, which takes the record's subject, the field's
+# predicate and a present value.  Contacts, org-unit relations and nested
+# relations name their own predicates, and a nested relation its own subject.
+_TRIPLES = {
+    "status": lambda s, p, value: [(s, p, status_token(value))],
+    "date": lambda s, p, value: [(s, p, format_partial_date(value))],
+    "text": lambda s, p, value: [(s, p, value)],
+    "sex": lambda s, p, value: [(s, p, value)],
+    "list": lambda s, p, items: [(s, p, item) for item in items],
+    "translated": lambda s, p, items: [(s, p, _tt_object(tt)) for tt in items],
+    "skills": lambda s, p, items: [(s, p, _skill_object(sk)) for sk in items],
+    "contacts": lambda s, _, items: [
+        (s, channel, value) for contact in items
+        for channel, value in (("telephone", contact.telephone), ("email", contact.email),
+                               ("contact_uri", contact.uri))
+        if value is not None],
+    "ou_relations": lambda s, _, items: [(s, rel.role, f"orgunit:{rel.target}")
+                                         for rel in items],
+    "relations": lambda s, _, items: [_relation_triple(rel) for rel in items],
+}
+
+
+def _record_triples(key: RecordKey, record: Record) -> tuple[Triple, ...]:
+    subject = f"{key.kind}:{key.id}"
+    out: list[Triple] = []
+    for spec in RECORD_FIELDS[type(record)]:
+        value = getattr(record, spec.attr)
+        if value != spec.default:
+            out.extend(_TRIPLES[spec.shape](subject, spec.predicate, value))
+    return tuple(out)
+
+
 def _version_key(record: Record, prov: Provenance):
     # repr is deterministic for these frozen dataclasses and breaks the
     # pathological tie of equal date and equal source.
@@ -174,6 +217,9 @@ class Store:
         self.current: dict[RecordKey, tuple[Record, Provenance]] = {}
         self.history: list[tuple[RecordKey, Record, Provenance]] = []
         self.relations: set[Relation] = set()
+        # RecordKey -> (record, its triples), valid while the record is the
+        # very object current holds; to_triples rebuilds it on every call
+        self._flat: dict[RecordKey, tuple[Record, tuple[Triple, ...]]] = {}
 
     def merge(self, rs: RecordSet, prov: Provenance) -> list[str]:
         """Fold one fetched document into the store; returns merge warnings."""
@@ -212,66 +258,16 @@ class Store:
         annotations in a bracket prefix; relations become one triple each
         with the role as predicate.
         """
+        flat: dict[RecordKey, tuple[Record, tuple[Triple, ...]]] = {}
         triples: set[Triple] = set()
-        relations = set(self.relations)
         for key, (record, _) in self.current.items():
-            subject = f"{key.kind}:{key.id}"
-            if isinstance(record, Project):
-                relations.update(record.relations)
-                if record.status is not None:
-                    triples.add((subject, "status", status_token(record.status)))
-                if record.start is not None:
-                    triples.add((subject, "start", str(record.start)))
-                if record.end is not None:
-                    triples.add((subject, "end", str(record.end)))
-                if record.uri is not None:
-                    triples.add((subject, "uri", record.uri))
-                for prize in record.prize_awards:
-                    triples.add((subject, "prize_award", prize))
-                for tt in record.titles:
-                    triples.add((subject, "title", _tt_object(tt)))
-                for tt in record.abstracts:
-                    triples.add((subject, "abstract", _tt_object(tt)))
-                for tt in record.keywords:
-                    triples.add((subject, "keywords", _tt_object(tt)))
-            elif isinstance(record, Person):
-                if record.family_names:
-                    triples.add((subject, "family_names", record.family_names))
-                if record.first_names:
-                    triples.add((subject, "first_names", record.first_names))
-                if record.sex is not None:
-                    triples.add((subject, "sex", record.sex))
-                if record.uri is not None:
-                    triples.add((subject, "uri", record.uri))
-                for prize in record.prize_awards:
-                    triples.add((subject, "prize_award", prize))
-                for skill in record.expert_skills:
-                    triples.add((subject, "expert_skill", _skill_object(skill)))
-                for contact in record.contacts:
-                    if contact.telephone is not None:
-                        triples.add((subject, "telephone", contact.telephone))
-                    if contact.email is not None:
-                        triples.add((subject, "email", contact.email))
-                    if contact.uri is not None:
-                        triples.add((subject, "contact_uri", contact.uri))
-            else:
-                if record.acronym is not None:
-                    triples.add((subject, "acronym", record.acronym))
-                if record.prize_award is not None:
-                    triples.add((subject, "prize_award", record.prize_award))
-                if record.url is not None:
-                    triples.add((subject, "url", record.url))
-                for tt in record.names:
-                    triples.add((subject, "name", _tt_object(tt)))
-                for rel in record.ou_relations:
-                    triples.add((subject, rel.role, f"orgunit:{rel.target}"))
-                for skill in record.expert_skills:
-                    triples.add((subject, "expert_skill", _skill_object(skill)))
-                for tt in record.descriptions:
-                    triples.add((subject, "description", _tt_object(tt)))
-        for rel in relations:
-            triples.add((f"{rel.source.kind}:{rel.source.id}", rel.role,
-                         f"{rel.target.kind}:{rel.target.id}"))
+            entry = self._flat.get(key)
+            if entry is None or entry[0] is not record:
+                entry = (record, _record_triples(key, record))
+            flat[key] = entry
+            triples.update(entry[1])
+        self._flat = flat
+        triples.update(_relation_triple(rel) for rel in self.relations)
         return triples
 
     def query(self, pattern: TriplePattern,

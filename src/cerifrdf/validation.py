@@ -28,7 +28,7 @@ from .model import (
     SEX_CODES,
     TranslatedText,
 )
-from .rdfxml import RecordSet
+from .rdfxml import CERIF_NS, RecordSet, parse_with_duplicates
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,5 @@ def duplicate_violations(duplicates: list[RecordKey]) -> list[Violation]:
 
 def check_document_uniqueness(data: str | bytes, *, cerif_ns=None) -> list[Violation]:
     """Report each (type, id) declared more than once in the raw document."""
-    from .rdfxml import CERIF_NS, scan_duplicate_keys
-
-    return duplicate_violations(scan_duplicate_keys(data, cerif_ns=cerif_ns or CERIF_NS))
+    _, _, duplicates = parse_with_duplicates(data, cerif_ns=cerif_ns or CERIF_NS)
+    return duplicate_violations(duplicates)

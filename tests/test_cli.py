@@ -223,6 +223,18 @@ def test_extract_out_writes_blocks_verbatim(tmp_path, capsys):
         assert (out / f"page.{offset}.rdf").read_text("utf-8") == block + "\n"
 
 
+def test_extract_out_names_blocks_by_byte_offset_on_a_page_not_utf8(tmp_path, capsys):
+    block = '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>'
+    path = tmp_path / "page.html"
+    path.write_bytes(b"<p>\xff\xfe</p>" + block.encode())
+    out = tmp_path / "blocks"
+    code = main(["extract", str(path), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [f"EXTRACTED {path} 9 0"]
+    assert [p.name for p in out.iterdir()] == ["page.9.rdf"]
+    assert (out / "page.9.rdf").read_text("utf-8") == block + "\n"
+
+
 # ---------------------------------------------------------------------------
 # package
 

@@ -253,8 +253,8 @@ def test_registry_round_trip(tmp_path):
     ]
     loaded = IdRegistry.load(path)
     assert loaded.entries == reg.entries
-    assert loaded.types_for("TUWIEN", "273") == {"person"}
-    assert loaded.types_for("TUWIEN", "nope") == set()
+    assert {t for o, t, i in loaded.entries if (o, i) == ("TUWIEN", "273")} == {"person"}
+    assert not any(i == "nope" for _, _, i in loaded.entries)
 
 
 def test_registry_load_rejects_bad_lines(tmp_path):
@@ -332,4 +332,4 @@ def test_type_drift_flagged():
     assert "273" in report.issues[0].detail
     assert str(report.issues[0]).startswith("FLAG type-drift")
     # the drifted sighting is not registered
-    assert registry.types_for("TUWIEN", "273") == {"person"}
+    assert list(registry.entries) == [("TUWIEN", "person", "273")]

@@ -42,6 +42,22 @@ def test_extract_offsets_are_byte_offsets(html_page_bytes):
     assert text.find("<rdf:RDF") != first  # char offset would be wrong
 
 
+def test_extract_offsets_on_a_page_that_is_not_utf8():
+    root = '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+    result = extract_rdf(b"<p>\xff\xfe</p>" + root.encode() + b"/>")
+    assert [offset for _, offset in result.documents] == [9]
+    # undecodable bytes inside and between blocks, a similarly named element
+    # and an rdf:RDF tag inside a comment of a block
+    page = (b"<p>\xe9t\xe9</p><rdf:RDFontSize/>"
+            + root.encode() + b"><!-- <rdf:RDF \xff --></rdf:RDF>\x80\x80"
+            + root.encode() + b"/>")
+    result = extract_rdf(page)
+    starts = [page.index(root.encode()), page.rindex(root.encode())]
+    assert [offset for _, offset in result.documents] == starts
+    assert result.blocks == [root + "><!-- <rdf:RDF \ufffd --></rdf:RDF>", root + "/>"]
+    assert result.warnings == []
+
+
 def test_extract_ignores_similarly_named_elements():
     page = "<p><rdf:RDFontSize>x</rdf:RDFontSize></p>"
     result = extract_rdf(page)

@@ -20,8 +20,8 @@ from cerifrdf.rdfxml import (
     CERIF_NS,
     RecordSet,
     parse_document,
+    parse_with_duplicates,
     resolve_alias,
-    scan_duplicate_keys,
     serialize_document,
 )
 
@@ -158,7 +158,7 @@ def test_duplicate_key_raises_and_scan_reports():
                '<cerif:person ID="2"></cerif:person>')
     with pytest.raises(DuplicateId):
         parse_document(doc)
-    assert scan_duplicate_keys(doc) == [RecordKey("person", "1")]
+    assert parse_with_duplicates(doc)[2] == [RecordKey("person", "1")]
 
 
 def test_wrong_root_rejected():
@@ -332,6 +332,27 @@ def test_foreign_element_in_relation_warns():
     assert rs.relations == [Relation(RecordKey("orgunit", "O1"),
                                      RecordKey("project", "P1"), role="runs")]
     assert warnings == ["document relations: foreign element ignored"]
+
+
+def test_foreign_element_warnings_keep_their_place():
+    # each warning stands where its element does, in the record and in an item
+    doc = wrap('<cerif:person ID="1">'
+               "<cerif:person.per_family_names>Muster</cerif:person.per_family_names>"
+               "<cerif:person.per_sex>X</cerif:person.per_sex>" + FOREIGN
+               + "<cerif:bogus>1</cerif:bogus>"
+               + bag("person.contacts", "contact",
+                     "<cerif:contact.fax>1</cerif:contact.fax>" + FOREIGN
+                     + "<cerif:contact.pager>2</cerif:contact.pager>")
+               + "</cerif:person>")
+    _, warnings = parse_document(doc)
+    assert warnings == [
+        "person 1: unrecognized sex code 'X'",
+        "person 1: foreign element ignored",
+        "person 1: unknown element cerif:bogus ignored",
+        "contact: unknown element cerif:contact.fax ignored",
+        "person 1 contacts: foreign element ignored",
+        "contact: unknown element cerif:contact.pager ignored",
+    ]
 
 
 def test_document_relations_deduplicated_in_order():

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from cerifrdf import htmlbridge, rdfxml, validation
+from cerifrdf import htmlbridge, rdfxml, store, validation
 from cerifrdf.model import RECORD_CLASSES, RECORD_FIELDS
 from cerifrdf.rdfxml import resolve_alias
 
@@ -39,3 +39,20 @@ def test_bag_shapes_and_only_they_name_parts():
         for spec in table:
             assert bool(spec.parts) == (spec.shape not in
                                         ("status", "date", "text", "sex", "list"))
+
+
+def test_every_used_shape_has_a_triple_maker():
+    used = {spec.shape for table in RECORD_FIELDS.values() for spec in table}
+    for shape in used:
+        assert callable(store._TRIPLES[shape]), shape
+
+
+def test_predicate_is_set_exactly_where_the_field_names_its_triples():
+    # contacts, org-unit relations and nested relations name their own
+    # predicates; a scalar field's triples carry its attribute name
+    for table in RECORD_FIELDS.values():
+        for spec in table:
+            own = spec.shape in ("contacts", "ou_relations", "relations")
+            assert (spec.predicate is None) == own, spec.attr
+            if spec.shape in ("status", "date", "text", "sex"):
+                assert spec.predicate == spec.attr
