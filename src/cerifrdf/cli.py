@@ -13,7 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import CerifError, FormatError, InvariantViolation, UnrecognizedName
+from .errors import (CerifError, DuplicateObject, FormatError, InvariantViolation,
+                     UnrecognizedName)
 from .exchange import (
     ExchangeKind,
     IdRegistry,
@@ -49,6 +50,16 @@ def _session_date(text: str) -> PartialDate:
     if not date.is_full:
         raise FormatError(f"--date needs a full DD.MM.YYYY date, got {text!r}")
     return date
+
+
+def _write_files(out_dir: str, files, ns: str) -> None:
+    """Write each planned exchange file into *out_dir* and print its name."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, sub in files:
+        file_name = format_name(name)
+        (out / file_name).write_text(serialize_document(sub, cerif_ns=ns), "utf-8")
+        print(file_name)
 
 
 def cmd_validate(args) -> int:
@@ -95,12 +106,8 @@ def cmd_convert_sgml(args) -> int:
     report = apply_discard_cascade(rs)
     for line in report.to_lines():
         print(line)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, sub in plan_session(report.kept, args.org, date, ExchangeKind.PER_OBJECT):
-        file_name = format_name(name)
-        (out / file_name).write_text(serialize_document(sub, cerif_ns=ns), "utf-8")
-        print(file_name)
+    _write_files(args.out, plan_session(report.kept, args.org, date,
+                                        ExchangeKind.PER_OBJECT), ns)
     return 1 if (skipped or not report.ok) else 0
 
 
@@ -108,6 +115,14 @@ def cmd_extract(args) -> int:
     ns = _cerif_ns()
     out = Path(args.out) if args.out else None
     if out:
+        # block files are named stem.offset, so each page needs its own stem
+        stems: set[str] = set()
+        for path in args.paths:
+            stem = Path(path).stem
+            if stem in stems:
+                raise DuplicateObject(f"two pages share the stem {stem!r}, so their "
+                                      f"blocks would overwrite each other in {out}")
+            stems.add(stem)
         out.mkdir(parents=True, exist_ok=True)
     failures = False
     for path in args.paths:
@@ -157,12 +172,7 @@ def cmd_package(args) -> int:
         print(line)
     kind = ExchangeKind.ALL if args.mode == "all" else ExchangeKind.PER_OBJECT
     files = plan_session(report.kept, args.org, date, kind)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, sub in files:
-        file_name = format_name(name)
-        (out / file_name).write_text(serialize_document(sub, cerif_ns=ns), "utf-8")
-        print(file_name)
+    _write_files(args.out, files, ns)
     flagged = False
     if args.registry:
         registry = IdRegistry.load(args.registry)

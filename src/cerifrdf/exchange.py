@@ -26,7 +26,7 @@ from .model import (
     parse_partial_date,
 )
 from .rdfxml import RecordSet
-from .store import read_utf8, write_atomic
+from .store import read_rows, write_atomic
 
 
 class ExchangeKind(Enum):
@@ -228,18 +228,12 @@ class IdRegistry:
     @classmethod
     def load(cls, path: str | os.PathLike) -> "IdRegistry":
         registry = cls(path)
-        p = Path(path)
-        if not p.exists():
+        if not registry.path.exists():
             return registry
-        for lineno, line in enumerate(read_utf8(p).splitlines(), start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise FormatError(f"{p}:{lineno}: expected 4 tab-separated fields")
-            org, rtype, ident, date_text = fields
+        for lineno, (org, rtype, ident, date_text) in read_rows(registry.path, 4):
             if rtype not in RECORD_TYPES:
-                raise FormatError(f"{p}:{lineno}: unknown record type {rtype!r}")
+                raise FormatError(f"{registry.path}:{lineno}: unknown record type "
+                                  f"{rtype!r}")
             registry.entries[(org, rtype, ident)] = parse_partial_date(date_text)
         return registry
 
@@ -311,8 +305,7 @@ def check_session(files: list[tuple[ExchangeName, RecordSet]],
             if index is not None and rel not in views[index]:
                 issues.append(SessionIssue(
                     "relation-not-duplicated",
-                    f"{rel.source.kind}:{rel.source.id} -[{rel.role}]-> "
-                    f"{rel.target.kind}:{rel.target.id} missing from "
+                    f"{rel.source} -[{rel.role}]-> {rel.target} missing from "
                     f"{format_name(files[index][0])}"))
 
     # one pass over the registry, keeping only the session's (org, id) pairs

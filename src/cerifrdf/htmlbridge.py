@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 from .errors import CerifError
 from .model import (
-    RECORD_FIELDS,
     Record,
+    RecordKey,
     format_partial_date,
     join_semicolon_list,
+    present_fields,
     status_token,
 )
 from .rdfxml import CERIF_NS, RecordSet, _scan_tag_end, parse_document, serialize_document
@@ -99,8 +100,7 @@ def _row_translated(label: str, tt) -> tuple[str, str]:
 
 
 def _row_relation(label: str, rel) -> tuple[str, str]:
-    return label, (f"{rel.role}: {rel.source.kind}:{rel.source.id} -> "
-                   f"{rel.target.kind}:{rel.target.id}")
+    return label, f"{rel.role}: {rel.source} -> {rel.target}"
 
 
 def _row_skill(label: str, sk) -> tuple[str, str]:
@@ -115,7 +115,7 @@ def _row_contact(label: str, contact) -> tuple[str, str]:
 
 
 def _row_ou_relation(label: str, rel) -> tuple[str, str]:
-    return label, f"{rel.role}: orgunit:{rel.target}"
+    return label, f"{rel.role}: {RecordKey('orgunit', rel.target)}"
 
 
 # shape -> row renderer: a scalar shape formats its value as the row text, a
@@ -146,15 +146,13 @@ def render_html(record: Record, *, cerif_ns: str = CERIF_NS) -> str:
     document = serialize_document(rs, cerif_ns=cerif_ns)
 
     rows = [("identifier", record.id)]
-    for spec in RECORD_FIELDS[type(record)]:
-        value = getattr(record, spec.attr)
-        if value != spec.default:
-            render = _ROWS[spec.shape]
-            if spec.parts:
-                for item in value:
-                    rows.append(render(spec.label, item))
-            else:
-                rows.append((spec.label, render(value)))
+    for spec, value in present_fields(record):
+        render = _ROWS[spec.shape]
+        if spec.parts:
+            for item in value:
+                rows.append(render(spec.label, item))
+        else:
+            rows.append((spec.label, render(value)))
 
     key = record.key
     heading = html.escape(f"{key.kind} {key.id}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple, Union
+from typing import ClassVar, NamedTuple
 
 from .errors import FormatError, UnknownCode
 
@@ -148,12 +148,7 @@ def _date_fields(text: str, sep: str) -> list[int]:
 
 def parse_partial_date(text: str) -> PartialDate:
     """Parse a day-first partial date: DD.MM.YYYY, MM.YYYY or YYYY."""
-    values = _date_fields(text, ".")
-    values.reverse()
-    year = values[0]
-    month = values[1] if len(values) > 1 else None
-    day = values[2] if len(values) > 2 else None
-    return PartialDate(year=year, month=month, day=day)
+    return PartialDate(*reversed(_date_fields(text, ".")))
 
 
 def parse_iso_date(text: str) -> PartialDate:
@@ -162,11 +157,7 @@ def parse_iso_date(text: str) -> PartialDate:
     Legacy export headers use this ordering; exchange file names and record
     bodies use the day-first form.  The two coexist and must not be confused.
     """
-    values = _date_fields(text, "-")
-    year = values[0]
-    month = values[1] if len(values) > 1 else None
-    day = values[2] if len(values) > 2 else None
-    return PartialDate(year=year, month=month, day=day)
+    return PartialDate(*_date_fields(text, "-"))
 
 
 def format_partial_date(d: PartialDate) -> str:
@@ -192,6 +183,11 @@ def default_status(end: PartialDate | None, export_date: PartialDate) -> Project
 class RecordKey(NamedTuple):
     kind: str
     id: str
+
+    def __str__(self) -> str:
+        """The "kind:id" form that names a record in triples, index lines
+        and reports."""
+        return f"{self.kind}:{self.id}"
 
 
 @dataclass(frozen=True)
@@ -250,21 +246,38 @@ class OuOuRelation:
     role: str
 
 
-def _frozen_tuple(obj, name) -> None:
-    value = getattr(obj, name)
-    if not isinstance(value, tuple):
-        object.__setattr__(obj, name, tuple(value))
+@dataclass(frozen=True)
+class Record:
+    """What the three record kinds share: an identifier, a kind and a key.
+
+    kind is the token of keys, typed node names and file names.  Every field
+    whose default is () is frozen into a tuple, so a record built from lists
+    is still immutable and hashable.
+    """
+
+    kind: ClassVar[str]
+    id: str
+
+    def __post_init__(self) -> None:
+        for name in _TUPLE_FIELDS[type(self)]:
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                object.__setattr__(self, name, tuple(value))
+
+    @property
+    def key(self) -> RecordKey:
+        return RecordKey(self.kind, self.id)
 
 
 @dataclass(frozen=True)
-class Project:
+class Project(Record):
     """A research project.
 
     status holds a plain string when the wire carried a token outside the
     four accepted ones, so the validator can report it verbatim.
     """
 
-    id: str
+    kind = "project"
     status: ProjectStatus | str | None = None
     start: PartialDate | None = None
     end: PartialDate | None = None
@@ -275,18 +288,10 @@ class Project:
     keywords: tuple[TranslatedText, ...] = ()
     relations: tuple[Relation, ...] = ()
 
-    def __post_init__(self) -> None:
-        for name in ("prize_awards", "titles", "abstracts", "keywords", "relations"):
-            _frozen_tuple(self, name)
-
-    @property
-    def key(self) -> RecordKey:
-        return RecordKey("project", self.id)
-
 
 @dataclass(frozen=True)
-class Person:
-    id: str
+class Person(Record):
+    kind = "person"
     family_names: str = ""
     first_names: str = ""
     sex: str | None = None
@@ -295,17 +300,9 @@ class Person:
     expert_skills: tuple[ExpertSkill, ...] = ()
     contacts: tuple[Contact, ...] = ()
 
-    def __post_init__(self) -> None:
-        for name in ("prize_awards", "expert_skills", "contacts"):
-            _frozen_tuple(self, name)
-
-    @property
-    def key(self) -> RecordKey:
-        return RecordKey("person", self.id)
-
 
 @dataclass(frozen=True)
-class OrgUnit:
+class OrgUnit(Record):
     """An organisational unit.
 
     descriptions is an extension field filled by the legacy converter; it is
@@ -313,7 +310,7 @@ class OrgUnit:
     that never passed through that converter.
     """
 
-    id: str
+    kind = "orgunit"
     acronym: str | None = None
     prize_award: str | None = None
     url: str | None = None
@@ -322,16 +319,22 @@ class OrgUnit:
     expert_skills: tuple[ExpertSkill, ...] = ()
     descriptions: tuple[TranslatedText, ...] = ()
 
-    def __post_init__(self) -> None:
-        for name in ("names", "ou_relations", "expert_skills", "descriptions"):
-            _frozen_tuple(self, name)
 
-    @property
-    def key(self) -> RecordKey:
-        return RecordKey("orgunit", self.id)
+#: Record class by the kind token used in keys and typed node names.
+RECORD_CLASSES: dict[str, type[Record]] = {cls.kind: cls
+                                           for cls in (Project, Person, OrgUnit)}
+
+#: The fields each record class freezes into tuples.
+_TUPLE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.default == ())
+                 for cls in RECORD_CLASSES.values()}
+
+_NOT_IN_FILE_NAMES = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
 
 
-Record = Union[Project, Person, OrgUnit]
+def file_safe_id(ident: str) -> bool:
+    """True when *ident* can stand inside a file name: it holds no '/', no
+    '\\' and no control character, so it cannot steer where a file goes."""
+    return _NOT_IN_FILE_NAMES.search(ident) is None
 
 
 class Field(NamedTuple):
@@ -346,7 +349,7 @@ class Field(NamedTuple):
     names the field's triples in the store; it defaults to attr for a
     scalar field and is None for a bag whose items name their own.  default
     is the dataclass default: a field counts as present when its value
-    differs.
+    differs (see present_fields).
     """
 
     attr: str
@@ -437,6 +440,10 @@ def nested_relations(record: Record) -> tuple[Relation, ...]:
     return tuple(rel for attr in _NESTING[type(record)] for rel in getattr(record, attr))
 
 
-#: Record class by the kind token used in keys and typed node names.
-RECORD_CLASSES: dict[str, type] = {"project": Project, "person": Person,
-                                   "orgunit": OrgUnit}
+def present_fields(record: Record):
+    """(field, value) for each field of *record* whose value differs from the
+    field's default, in table order."""
+    for spec in RECORD_FIELDS[type(record)]:
+        value = getattr(record, spec.attr)
+        if value != spec.default:
+            yield spec, value

@@ -41,6 +41,7 @@ from .model import (
     nested_relations,
     normalize_translation_code,
     parse_partial_date,
+    present_fields,
     split_semicolon_list,
     status_token,
 )
@@ -113,8 +114,8 @@ class RecordSet:
     relations holds document-level relation descriptions, those not nested
     inside any record.  Per-object exchange files for persons and org-units
     carry their incident relations this way, because only project records
-    embed relations directly.  It is a plain list, so add_relation's
-    duplicate test is linear; extend_relations adds many at once.
+    embed relations directly.  It is a plain list that add_relation and
+    extend_relations keep free of duplicates.
     """
 
     records: dict[RecordKey, Record] = field(default_factory=dict)
@@ -127,8 +128,7 @@ class RecordSet:
         self.records[key] = record
 
     def add_relation(self, relation: Relation) -> None:
-        if relation not in self.relations:
-            self.relations.append(relation)
+        self.extend_relations((relation,))
 
     def extend_relations(self, relations: Iterable[Relation]) -> None:
         """Append each relation not yet present, in order, in linear time."""
@@ -597,17 +597,15 @@ def _write_bag(w: _Writer, depth: int, container: str, parts, items,
     w.line(depth, f"</cerif:{container}>")
 
 
-def _write_record(w: _Writer, kind: str, record: Record) -> None:
-    w.line(1, f"<cerif:{kind} ID={quoteattr(record.id)}>")
-    for spec in RECORD_FIELDS[type(record)]:
-        value = getattr(record, spec.attr)
-        if value != spec.default:
-            write = _SHAPES[spec.shape][1]
-            if spec.parts:
-                _write_bag(w, 2, spec.element, spec.parts, value, write)
-            else:
-                w.literal(2, spec.element, write(value))
-    w.line(1, f"</cerif:{kind}>")
+def _write_record(w: _Writer, record: Record) -> None:
+    w.line(1, f"<cerif:{record.kind} ID={quoteattr(record.id)}>")
+    for spec, value in present_fields(record):
+        write = _SHAPES[spec.shape][1]
+        if spec.parts:
+            _write_bag(w, 2, spec.element, spec.parts, value, write)
+        else:
+            w.literal(2, spec.element, write(value))
+    w.line(1, f"</cerif:{record.kind}>")
 
 
 def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
@@ -640,7 +638,7 @@ def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
     w.lines.append(f'    xmlns:rdfs="{RDFS_NS}"')
     w.lines.append(f'    xmlns:cerif="{cerif_ns}">')
     for key in sorted(rs.records):
-        _write_record(w, key.kind, rs.records[key])
+        _write_record(w, rs.records[key])
     if rs.relations:
         _write_bag(w, 1, "relations", ("relation",),
                    sorted(set(rs.relations), key=Relation.sort_key), _write_relation)

@@ -143,15 +143,18 @@ def _slug(name: str) -> str:
     return _SLUG_STRIP.sub(".", name).strip(".").upper()
 
 
+def _bilingual(german, english) -> tuple[TranslatedText, ...]:
+    """German originals, then English human translations; empty values are
+    skipped."""
+    return (*(TranslatedText("de", TranslationType.ORIGINAL, v) for v in german if v),
+            *(TranslatedText("en", TranslationType.HUMAN, v) for v in english if v))
+
+
 def _stub(ident: str, de_name: str | None, en_name: str | None,
           parent: str | None) -> OrgUnit:
-    names = []
-    if de_name:
-        names.append(TranslatedText("de", TranslationType.ORIGINAL, de_name))
-    if en_name:
-        names.append(TranslatedText("en", TranslationType.HUMAN, en_name))
     relations = (OuOuRelation(target=parent, role="parent"),) if parent else ()
-    return OrgUnit(id=ident, names=tuple(names), ou_relations=relations)
+    return OrgUnit(id=ident, names=_bilingual([de_name], [en_name]),
+                   ou_relations=relations)
 
 
 def map_record(lr: LegacyRecord, export_date: PartialDate) -> ConvertedRecord:
@@ -167,14 +170,6 @@ def map_record(lr: LegacyRecord, export_date: PartialDate) -> ConvertedRecord:
     if not rcn:
         raise MissingId("legacy record without an RCN identifier")
 
-    names = []
-    for value in lr.values("DEG"):
-        if value:
-            names.append(TranslatedText("de", TranslationType.ORIGINAL, value))
-    for value in lr.values("DEE"):
-        if value:
-            names.append(TranslatedText("en", TranslationType.HUMAN, value))
-
     skills: list[ExpertSkill] = []
     for tag, value in lr.entries:
         if not value:
@@ -184,13 +179,7 @@ def map_record(lr: LegacyRecord, export_date: PartialDate) -> ConvertedRecord:
         elif tag in ("RUG", "RUE"):
             skills.append(ExpertSkill(skill=value, role="research-field"))
 
-    descriptions = []
-    for value in lr.values("DUG"):
-        if value:
-            descriptions.append(TranslatedText("de", TranslationType.ORIGINAL, value))
-    for value in lr.values("DUE"):
-        if value:
-            descriptions.append(TranslatedText("en", TranslationType.HUMAN, value))
+    descriptions = _bilingual(lr.values("DUG"), lr.values("DUE"))
     if descriptions:
         warnings.append("descriptions kept under the extension element "
                         "cerif:orgunit.descriptions")
@@ -211,11 +200,11 @@ def map_record(lr: LegacyRecord, export_date: PartialDate) -> ConvertedRecord:
     orgunit = OrgUnit(
         id=rcn,
         url=lr.first("URL") or None,
-        names=tuple(names),
+        names=_bilingual(lr.values("DEG"), lr.values("DEE")),
         ou_relations=(OuOuRelation(target=parent_of_unit, role="parent"),)
         if parent_of_unit else (),
         expert_skills=tuple(skills),
-        descriptions=tuple(descriptions),
+        descriptions=descriptions,
     )
 
     telephone = " ".join(v for v in (lr.first("TAC"), lr.first("TEL")) if v) or None

@@ -29,11 +29,12 @@ from .model import (
     PartialDate,
     Record,
     RecordKey,
-    RECORD_FIELDS,
     Relation,
     TranslatedText,
+    file_safe_id,
     format_partial_date,
     parse_partial_date,
+    present_fields,
     status_token,
 )
 from .rdfxml import CERIF_NS, RecordSet, parse_document, serialize_document
@@ -50,6 +51,18 @@ def read_utf8(path: Path) -> str:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"{path}: not UTF-8: {exc}") from None
+
+
+def read_rows(path: Path, width: int):
+    """(line number, fields) for each non-blank line of a tab-separated
+    UTF-8 file; a line without exactly *width* fields raises FormatError."""
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise FormatError(f"{path}:{lineno}: expected {width} tab-separated fields")
+        yield lineno, fields
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -115,35 +128,25 @@ class EquivalenceMap:
     """
 
     def __init__(self) -> None:
-        self._classes: list[set[str]] = []
-        self._index: dict[str, int] = {}
+        # term -> its class; the dict keeps each term where it was first
+        # added, so a class's first key dates from the oldest class merged in
+        self._classes: dict[str, frozenset[str]] = {}
 
     def add_class(self, terms) -> None:
         cleaned = [t for t in (str(term).strip() for term in terms) if t]
         if not cleaned:
             return
-        touched = sorted({self._index[t] for t in cleaned if t in self._index})
-        if touched:
-            keep = touched[0]
-            merged = self._classes[keep]
-            for i in reversed(touched[1:]):
-                merged |= self._classes[i]
-                self._classes[i] = set()
-            merged.update(cleaned)
-        else:
-            keep = len(self._classes)
-            self._classes.append(set(cleaned))
-        for term in self._classes[keep]:
-            self._index[term] = keep
+        merged = frozenset(cleaned).union(
+            *(self._classes[t] for t in cleaned if t in self._classes))
+        for term in merged:
+            self._classes[term] = merged
 
     def expand(self, term: str) -> frozenset[str]:
-        index = self._index.get(term)
-        if index is None:
-            return frozenset((term,))
-        return frozenset(self._classes[index])
+        return self._classes.get(term, frozenset((term,)))
 
     def classes(self) -> list[frozenset[str]]:
-        return [frozenset(c) for c in self._classes if c]
+        """Each class once, the oldest first."""
+        return list(dict.fromkeys(self._classes.values()))
 
     @classmethod
     def from_text(cls, text: str) -> "EquivalenceMap":
@@ -170,8 +173,7 @@ def _skill_object(skill) -> str:
 
 
 def _relation_triple(rel: Relation) -> Triple:
-    return (f"{rel.source.kind}:{rel.source.id}", rel.role,
-            f"{rel.target.kind}:{rel.target.id}")
+    return (str(rel.source), rel.role, str(rel.target))
 
 
 # shape -> triple maker, which takes the record's subject, the field's
@@ -190,19 +192,17 @@ _TRIPLES = {
         for channel, value in (("telephone", contact.telephone), ("email", contact.email),
                                ("contact_uri", contact.uri))
         if value is not None],
-    "ou_relations": lambda s, _, items: [(s, rel.role, f"orgunit:{rel.target}")
-                                         for rel in items],
+    "ou_relations": lambda s, _, items: [
+        (s, rel.role, str(RecordKey("orgunit", rel.target))) for rel in items],
     "relations": lambda s, _, items: [_relation_triple(rel) for rel in items],
 }
 
 
 def _record_triples(key: RecordKey, record: Record) -> tuple[Triple, ...]:
-    subject = f"{key.kind}:{key.id}"
+    subject = str(key)
     out: list[Triple] = []
-    for spec in RECORD_FIELDS[type(record)]:
-        value = getattr(record, spec.attr)
-        if value != spec.default:
-            out.extend(_TRIPLES[spec.shape](subject, spec.predicate, value))
+    for spec, value in present_fields(record):
+        out.extend(_TRIPLES[spec.shape](subject, spec.predicate, value))
     return tuple(out)
 
 
@@ -305,11 +305,18 @@ class Store:
 
     def save(self, directory: str | os.PathLike, *, cerif_ns: str = CERIF_NS) -> None:
         """Write one canonical file per current record plus the provenance
-        index; stale record files from earlier saves are removed."""
+        index; stale record files from earlier saves are removed.  An
+        identifier that cannot name a file raises before anything is written."""
+        keys = sorted(self.current)
+        for key in keys:
+            if not file_safe_id(key.id):
+                raise InvariantViolation(
+                    f"{key.kind} {key.id!r}: identifier holds '/', '\\' or a "
+                    "control character; store not saved")
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         expected = {RELATIONS_FILE} if self.relations else set()
-        for key in sorted(self.current):
+        for key in keys:
             record, _ = self.current[key]
             rs = RecordSet()
             rs.records[key] = record
@@ -330,9 +337,9 @@ class Store:
                 path.unlink()
 
         lines = []
-        for key in sorted(self.current):
+        for key in keys:
             _, prov = self.current[key]
-            lines.append(f"{key.kind}:{key.id}\t{prov.source}\t"
+            lines.append(f"{key}\t{prov.source}\t"
                          f"{format_partial_date(prov.fetched)}\t{prov.kind.value}")
         write_atomic(root / INDEX_FILE, "".join(line + "\n" for line in lines))
 
@@ -349,13 +356,7 @@ class Store:
         if not index_path.exists():
             return store
         provenance: dict[str, Provenance] = {}
-        for lineno, line in enumerate(read_utf8(index_path).splitlines(), start=1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise FormatError(f"{index_path}:{lineno}: expected 4 fields")
-            subject, source, date_text, kind_text = fields
+        for lineno, (subject, source, date_text, kind_text) in read_rows(index_path, 4):
             try:
                 kind = SourceKind(kind_text)
             except ValueError:
@@ -366,10 +367,9 @@ class Store:
             rs, _ = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
             store.relations.update(rs.relations)
             for key, record in rs.records.items():
-                subject = f"{key.kind}:{key.id}"
-                prov = provenance.get(subject)
+                prov = provenance.get(str(key))
                 if prov is None:
                     raise FormatError(f"{path.name}: no provenance index entry "
-                                      f"for {subject}")
+                                      f"for {key}")
                 store.current[key] = (record, prov)
         return store

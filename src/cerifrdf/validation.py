@@ -27,6 +27,7 @@ from .model import (
     Relation,
     SEX_CODES,
     TranslatedText,
+    file_safe_id,
 )
 from .rdfxml import CERIF_NS, RecordSet, parse_with_duplicates
 
@@ -58,7 +59,7 @@ class CascadeFrom:
     key: RecordKey
 
     def __str__(self) -> str:
-        return f"cascade-from:{self.key.kind}:{self.key.id}"
+        return f"cascade-from:{self.key}"
 
 
 DiscardReason = Union[MissingMandatoryField, CascadeFrom]
@@ -190,6 +191,9 @@ def validate_record(record: Record) -> list[Violation]:
     out: list[Violation] = []
     if not record.id:
         out.append(Violation("id", "missing", "empty identifier"))
+    elif not file_safe_id(record.id):
+        out.append(Violation("id", "invalid", f"identifier {record.id!r} holds "
+                                              "'/', '\\' or a control character"))
     for attr, default, check, missing in _PLANS[type(record)]:
         value = getattr(record, attr)
         if value != default:
@@ -214,7 +218,7 @@ def lint_record(record: Record, language_codes=None) -> list[str]:
                 continue
             for i, tt in enumerate(getattr(record, spec.attr)):
                 if LANGUAGE_RE.match(tt.language) and tt.language not in language_codes:
-                    notes.append(f"{record.key.kind} {record.id}: {spec.attr}[{i}] uses "
+                    notes.append(f"{record.kind} {record.id}: {spec.attr}[{i}] uses "
                                  f"unassigned language code {tt.language!r}")
     return notes
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from cerifrdf.cli import main
+from cerifrdf.htmlbridge import render_html
 from cerifrdf.model import (
     Person,
     Project,
@@ -345,6 +346,100 @@ def test_gather_plain_file_without_date_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "no usable date" in captured.err
+
+
+def _tree(root):
+    """Every path under *root* with the bytes of each file, for comparing a
+    directory before and after a command."""
+    return {path.relative_to(root): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+def test_gather_refuses_an_id_that_cannot_name_a_file(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    good = write_doc(tmp_path / "site.rdf", linked_pair())
+    assert main(["gather", good, "--store", str(store_dir), "--date", "06.06.2001"]) == 0
+    before = _tree(store_dir)
+
+    bad = RecordSet()
+    for ident in ("z/../escaped", "300", "273"):
+        bad.add(Person(id=ident, family_names=f"Newer {ident}"))
+    path = tmp_path / "fetched.rdf"
+    path.write_text(serialize_document(bad, validate=False), "utf-8")
+    capsys.readouterr()
+    code = main(["gather", str(path), "--store", str(store_dir), "--date", "07.06.2001"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: person 'z/../escaped': identifier holds '/', '\\' or a control "
+        "character; store not saved"]
+    assert _tree(store_dir) == before
+    assert not (tmp_path / "escaped.rdf").exists()
+
+    code = main(["query", "(273, family_names, ?)", "--store", str(store_dir)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "person:273\tfamily_names\tNiedermayer\n"
+
+
+def test_unsafe_id_is_discarded_by_validate_package_render_and_convert(tmp_path, capsys):
+    rs = linked_pair()
+    rs.add(Person(id="z/../escaped", family_names="Escaped"))
+    doc = tmp_path / "site.rdf"
+    doc.write_text(serialize_document(rs, validate=False), "utf-8")
+    violation = ("VIOLATION person z/../escaped identifier 'z/../escaped' holds "
+                 "'/', '\\' or a control character")
+    discard = "DISCARD person z/../escaped missing-mandatory-field:id"
+
+    assert main(["validate", str(doc)]) == 1
+    assert capsys.readouterr().out.splitlines() == [violation, discard]
+
+    out = tmp_path / "session" / "deep"
+    code = main(["package", str(doc), "--mode", "per-object", "--org", "TUWIEN",
+                 "--date", "06.06.2001", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        discard, "TUWIEN.06.06.2001.PERSON.273", "TUWIEN.06.06.2001.PROJECT.E015-01-08"]
+    assert sorted(p.name for p in (tmp_path / "session").rglob("*")) == [
+        "TUWIEN.06.06.2001.PERSON.273", "TUWIEN.06.06.2001.PROJECT.E015-01-08", "deep"]
+
+    code = main(["render", str(doc), "--out", str(tmp_path / "pages")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ["person.273.html", "project.E015-01-08.html"]
+    assert "skipped person z/../escaped" in captured.err
+
+    sgml = tmp_path / "export.sgml"
+    sgml.write_text("<RECORD>\n<RCN>E/15\n<DEG>Institut\n<HRU>Muster, Max\n"
+                    "</RECORD>\n", "utf-8")
+    code = main(["convert-sgml", str(sgml), "--org", "TUWIEN", "--date", "06.06.2001",
+                 "--out", str(tmp_path / "converted")])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DISCARD orgunit E/15 missing-mandatory-field:id",
+        "DISCARD person E/15.head missing-mandatory-field:id"]
+    assert list((tmp_path / "converted").iterdir()) == []
+
+
+def test_extract_out_refuses_pages_sharing_a_stem(tmp_path, capsys):
+    pages = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        page = tmp_path / name / "index.html"
+        page.write_text(render_html(Person(id=name, family_names=name.upper())), "utf-8")
+        pages.append(str(page))
+    out = tmp_path / "blocks"
+    code = main(["extract", *pages, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: two pages share the stem 'index', so their "
+                            f"blocks would overwrite each other in {out}\n")
+    assert not out.exists()
+
+    # without --out nothing is written, so a shared stem does no harm
+    assert main(["extract", *pages]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------

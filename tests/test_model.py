@@ -18,6 +18,7 @@ from cerifrdf.model import (
     TranslationType,
     collapse_ws,
     default_status,
+    file_safe_id,
     format_partial_date,
     join_semicolon_list,
     normalize_translation_code,
@@ -25,6 +26,20 @@ from cerifrdf.model import (
     parse_partial_date,
     split_semicolon_list,
 )
+
+
+# ---------------------------------------------------------------------------
+# identifiers in file names
+
+@pytest.mark.parametrize("ident", ["273", "E015-01-08", "a.b", "..x", ".", "ä ü", "a:b"])
+def test_file_safe_ids(ident):
+    assert file_safe_id(ident)
+
+
+@pytest.mark.parametrize("ident", ["z/../escaped", "/", "a\\b", "a\x00b", "a\x1fb",
+                                   "a\x7f", "a\x85", "\x9f"])
+def test_ids_that_cannot_name_a_file(ident):
+    assert not file_safe_id(ident)
 
 
 # ---------------------------------------------------------------------------

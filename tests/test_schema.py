@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from cerifrdf import htmlbridge, rdfxml, store, validation
-from cerifrdf.model import RECORD_CLASSES, RECORD_FIELDS
+from cerifrdf.model import RECORD_CLASSES, RECORD_FIELDS, RecordKey, present_fields
 from cerifrdf.rdfxml import resolve_alias
 
 
@@ -56,3 +56,36 @@ def test_predicate_is_set_exactly_where_the_field_names_its_triples():
             assert (spec.predicate is None) == own, spec.attr
             if spec.shape in ("status", "date", "text", "sex"):
                 assert spec.predicate == spec.attr
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_CLASSES))
+def test_each_class_carries_its_kind_and_keys_by_it(kind):
+    cls = RECORD_CLASSES[kind]
+    assert cls.kind == kind
+    assert cls(id="x").key == RecordKey(kind, "x")
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_CLASSES))
+def test_list_inputs_come_back_as_tuples(kind):
+    cls = RECORD_CLASSES[kind]
+    names = [f.name for f in fields(cls) if f.default == ()]
+    assert names
+    record = cls(id="x", **{name: ["a", "b"] for name in names})
+    assert all(getattr(record, name) == ("a", "b") for name in names)
+    hash(record)
+
+
+def test_record_key_str_is_the_kind_id_form():
+    key = RecordKey("person", "a.b:c")
+    assert str(key) == f"{key}" == "person:a.b:c"
+    assert repr(key) == "RecordKey(kind='person', id='a.b:c')"
+
+
+@pytest.mark.parametrize("kind", sorted(RECORD_CLASSES))
+def test_present_fields_are_those_off_their_default(kind):
+    cls = RECORD_CLASSES[kind]
+    assert list(present_fields(cls(id="x"))) == []
+    table = RECORD_FIELDS[cls]
+    first, last = table[0], table[-1]
+    record = cls(id="x", **{first.attr: "v", last.attr: ("w",)})
+    assert list(present_fields(record)) == [(first, "v"), (last, ("w",))]

@@ -214,6 +214,18 @@ def test_university_only_parent():
     assert [r.id for r in cv.related] == ["TECHNISCHE.UNIVERSITÄT.WIEN"]
 
 
+def test_bilingual_values_skip_empty_ones():
+    cv = map_record(make([("RCN", "X-1"), ("DEE", "Unit"), ("DEG", ""), ("DEG", "Einheit"),
+                          ("DUE", ""), ("UNG", "Universität"), ("FAE", "Faculty")]),
+                    EXPORT_DATE)
+    assert [(tt.language, tt.translation, tt.text) for tt in cv.orgunit.names] == [
+        ("de", TranslationType.ORIGINAL, "Einheit"), ("en", TranslationType.HUMAN, "Unit")]
+    assert cv.orgunit.descriptions == ()
+    faculty, university = cv.related
+    assert [(tt.language, tt.text) for tt in faculty.names] == [("en", "Faculty")]
+    assert [(tt.language, tt.text) for tt in university.names] == [("de", "Universität")]
+
+
 def test_no_parents_no_relations():
     cv = map_record(make([("RCN", "X-1"), ("DEG", "I")]), EXPORT_DATE)
     assert cv.orgunit.ou_relations == ()
