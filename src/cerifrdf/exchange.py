@@ -57,11 +57,28 @@ def _check_org(org: str) -> None:
         raise InvariantViolation(f"organization token {org!r} must not contain whitespace")
 
 
+def _check_identifier(name: ExchangeName) -> None:
+    """Refuse an identifier that parse_name would not read back as itself."""
+    segments = name.identifier.split(".")
+    if any(not segment or segment != segment.strip() for segment in segments):
+        raise InvariantViolation(
+            f"{name.record_type} {name.identifier!r}: identifier has an empty or "
+            "space-padded dot segment, which no file name keeps")
+    # only a per-object name ends in its identifier, so only there does a
+    # last "rdf" segment read back as the extension
+    if name.kind is ExchangeKind.PER_OBJECT and segments[-1].lower() == "rdf":
+        raise InvariantViolation(
+            f"{name.record_type} {name.identifier!r}: identifier ends in an rdf "
+            "segment, which its per-object file name would read as the extension")
+
+
 def format_name(name: ExchangeName) -> str:
     """Render *name* in its canonical spelling.
 
     Snapshot and per-object names carry no extension; annual and change names
     end in .rdf.  The stored extension field does not override that rule.
+    An identifier that parse_name would not read back as itself raises
+    InvariantViolation.
     """
     _check_org(name.organization)
     if name.kind in (ExchangeKind.ALL, ExchangeKind.PER_OBJECT, ExchangeKind.CHANGE):
@@ -75,6 +92,7 @@ def format_name(name: ExchangeName) -> str:
             raise InvariantViolation(f"unknown record type {name.record_type!r}")
         if not name.identifier:
             raise InvariantViolation("missing object identifier")
+        _check_identifier(name)
     else:
         if name.record_type is not None or name.identifier is not None:
             raise InvariantViolation(

@@ -237,6 +237,19 @@ class Relation:
     def sort_key(self):
         return (self.source, self.target, self.role, self.mandatory)
 
+    def faults(self, no_id: str, no_role: str):
+        """A message for each rule the relation breaks, in a fixed order; the
+        caller words an endpoint without an id and an empty role."""
+        if self.source == self.target:
+            yield "relation with identical endpoints"
+        for key in (self.source, self.target):
+            if key.kind not in RECORD_TYPES:
+                yield f"unknown record type {key.kind!r}"
+            if not key.id:
+                yield no_id
+        if not self.role:
+            yield no_role
+
 
 @dataclass(frozen=True)
 class OuOuRelation:

@@ -572,15 +572,8 @@ def parse_with_duplicates(data: str | bytes, *, cerif_ns: str = CERIF_NS
 # serialization
 
 def _check_relation(rel: Relation, where: str) -> None:
-    if rel.source == rel.target:
-        raise InvariantViolation(f"{where}: relation with identical endpoints")
-    for key in (rel.source, rel.target):
-        if key.kind not in RECORD_TYPES:
-            raise InvariantViolation(f"{where}: unknown record type {key.kind!r}")
-        if not key.id:
-            raise InvariantViolation(f"{where}: relation endpoint without id")
-    if not rel.role:
-        raise InvariantViolation(f"{where}: relation without a role")
+    for fault in rel.faults("relation endpoint without id", "relation without a role"):
+        raise InvariantViolation(f"{where}: {fault}")  # the first fault refuses
 
 
 def _write_bag(w: _Writer, depth: int, container: str, parts, items,

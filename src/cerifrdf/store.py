@@ -9,10 +9,22 @@ triples and match patterns through optional equivalence classes of terms.
 
 The triple view walks the field table model.RECORD_FIELDS, as the reader and
 the writer do; this module only knows how to turn each value shape into
-triples.  Each record is flattened once: the store keeps every current
-record's triples next to the record object they came from, and reuses them
-only while the current map still holds that very object.  A merge, a load or
-a caller editing the current map directly therefore never sees stale triples.
+triples.  The store derives one read-only view of its triples, indexed by
+subject, by predicate and by object (the SPO/POS/OSP idea of Weiss, Karras
+and Bernstein, "Hexastore", VLDB 2008), and answers a pattern from the
+smallest candidate set among its bound positions.  Nothing is built by merge
+or load: the first query after a change flattens the records, and each
+position's index is built the first time a pattern binds it.
+
+Freshness rule: each query first checks that the current map holds, in the
+same order, keys and (record, provenance) pairs equal to those the view was
+built from, and the relation set equal relations in the same order.  The
+comparison tests identity first, so an unchanged store costs one pointer
+comparison per element, and an equal replacement flattens to the same
+triples.  Otherwise the view is rebuilt, and a record is flattened again
+only if it is not the very object flattened before.  A merge, a load or a
+caller editing the current map or the relation set directly therefore never
+sees stale triples.
 """
 
 from __future__ import annotations
@@ -20,8 +32,10 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import EncodingError, FormatError, InvariantViolation
@@ -212,14 +226,98 @@ def _version_key(record: Record, prov: Provenance):
     return (prov.fetched.latest(), prov.source, repr(record))
 
 
+def _endpoint_match(value: str, terms: frozenset[str]) -> bool:
+    """A subject or object matches a term as a whole or by the part after
+    its first ':', so "P1" finds "project:P1" and "//x" finds "http://x"."""
+    return value in terms or value.split(":", 1)[-1] in terms
+
+
+class _TripleView:
+    """The store's current triples, indexed by subject, predicate and object.
+
+    Each position's index maps a value to the triples holding it there; the
+    subject and object positions also map the part of a value after its
+    first ':' back to the values it came from.  An index is built the first
+    time a pattern binds its position, so a one-shot query pays only for
+    the positions it names.  A triple that two sources give, such as a
+    relation nested in a project and listed in the document too, may be
+    filed twice; match and triples return each once.
+    """
+
+    def __init__(self, current: dict[RecordKey, tuple[Record, Provenance]],
+                 relations: set[Relation],
+                 kept: dict[RecordKey, tuple[Record, tuple[Triple, ...]]]) -> None:
+        self.keys = list(current)
+        self.pairs = list(current.values())
+        self.relations = list(relations)
+        # RecordKey -> (record, its triples), reused by the next view for
+        # every record that is still the very same object
+        self.flat: dict[RecordKey, tuple[Record, tuple[Triple, ...]]] = {}
+        for key, (record, _) in zip(self.keys, self.pairs):
+            entry = kept.get(key)
+            if entry is None or entry[0] is not record:
+                entry = (record, _record_triples(key, record))
+            self.flat[key] = entry
+        self.relation_triples = list(map(_relation_triple, self.relations))
+        # position (0 subject, 1 predicate, 2 object) -> (value -> triples,
+        # part after the first ':' -> values)
+        self._indexes: dict[int, tuple[dict[str, list[Triple]], dict[str, list[str]]]] = {}
+
+    def is_fresh(self, current: dict[RecordKey, tuple[Record, Provenance]],
+                 relations: set[Relation]) -> bool:
+        """The freshness rule of the module docstring."""
+        return (self.keys == list(current) and self.pairs == list(current.values())
+                and self.relations == list(relations))
+
+    def _filed(self):
+        """Every record and relation triple; one that two sources give
+        comes twice."""
+        return chain(chain.from_iterable(entry[1] for entry in self.flat.values()),
+                     self.relation_triples)
+
+    def triples(self) -> set[Triple]:
+        """Every triple."""
+        return set(self._filed())
+
+    def _index(self, position: int):
+        if position not in self._indexes:
+            index: defaultdict[str, list[Triple]] = defaultdict(list)
+            for triple in self._filed():
+                index[triple[position]].append(triple)
+            bare: defaultdict[str, list[str]] = defaultdict(list)
+            if position != 1:  # predicates match whole only
+                for value in index:
+                    if ":" in value:
+                        bare[value.split(":", 1)[1]].append(value)
+            self._indexes[position] = (dict(index), dict(bare))
+        return self._indexes[position]
+
+    def match(self, *terms: frozenset[str] | None) -> set[Triple]:
+        """Triples whose subject, predicate and object match their expanded
+        terms, None matching anything."""
+        found = []
+        for position, position_terms in enumerate(terms):
+            if position_terms is not None:
+                index, bare = self._index(position)
+                found.append([index[value] for term in position_terms
+                              for value in (term, *bare.get(term, ())) if value in index])
+        if not found:
+            return self.triples()
+        subject_terms, predicate_terms, object_terms = terms
+        smallest = min(found, key=lambda lists: sum(map(len, lists)))
+        return {triple for triple in chain.from_iterable(smallest)
+                if (subject_terms is None or _endpoint_match(triple[0], subject_terms))
+                and (predicate_terms is None or triple[1] in predicate_terms)
+                and (object_terms is None or _endpoint_match(triple[2], object_terms))}
+
+
 class Store:
     def __init__(self) -> None:
         self.current: dict[RecordKey, tuple[Record, Provenance]] = {}
         self.history: list[tuple[RecordKey, Record, Provenance]] = []
         self.relations: set[Relation] = set()
-        # RecordKey -> (record, its triples), valid while the record is the
-        # very object current holds; to_triples rebuilds it on every call
-        self._flat: dict[RecordKey, tuple[Record, tuple[Triple, ...]]] = {}
+        # built by the first query after a change; see _triple_view
+        self._view: _TripleView | None = None
 
     def merge(self, rs: RecordSet, prov: Provenance) -> list[str]:
         """Fold one fetched document into the store; returns merge warnings."""
@@ -251,24 +349,24 @@ class Store:
         out.extend((record, prov) for k, record, prov in self.history if k == key)
         return out
 
+    def _triple_view(self) -> _TripleView:
+        """The indexed view of the current triples, rebuilt first if the
+        current map or the relation set no longer holds what it was built
+        from."""
+        view = self._view
+        if view is None or not view.is_fresh(self.current, self.relations):
+            view = self._view = _TripleView(self.current, self.relations,
+                                            view.flat if view is not None else {})
+        return view
+
     def to_triples(self) -> set[Triple]:
         """Flatten current records to subject-predicate-object triples.
 
         Subjects are "type:id" strings; language-tagged objects carry their
         annotations in a bracket prefix; relations become one triple each
-        with the role as predicate.
+        with the role as predicate.  The set is the caller's to change.
         """
-        flat: dict[RecordKey, tuple[Record, tuple[Triple, ...]]] = {}
-        triples: set[Triple] = set()
-        for key, (record, _) in self.current.items():
-            entry = self._flat.get(key)
-            if entry is None or entry[0] is not record:
-                entry = (record, _record_triples(key, record))
-            flat[key] = entry
-            triples.update(entry[1])
-        self._flat = flat
-        triples.update(_relation_triple(rel) for rel in self.relations)
-        return triples
+        return self._triple_view().triples()
 
     def query(self, pattern: TriplePattern,
               eq: EquivalenceMap | None = None) -> list[Triple]:
@@ -278,28 +376,18 @@ class Store:
         bare identifier; predicates match exactly.  Every term is first
         expanded through its equivalence class, so enlarging a class can only
         add results.
+
+        The bound position with the fewest indexed triples for its expanded
+        terms names the candidates, and only they are tested against every
+        bound position; a pattern with no bound position returns every
+        triple.  The indexed view is rebuilt first if the store fails the
+        freshness rule of the module docstring, so a direct edit of the
+        current map or the relation set is seen by the next query.
         """
         eq = eq if eq is not None else EquivalenceMap()
-
-        def endpoint_match(value: str, terms: frozenset[str]) -> bool:
-            return value in terms or value.split(":", 1)[-1] in terms
-
-        subject_terms = None if pattern.subject is None else eq.expand(pattern.subject)
-        predicate_terms = (None if pattern.predicate is None
-                           else eq.expand(pattern.predicate))
-        object_terms = None if pattern.object is None else eq.expand(pattern.object)
-
-        out = []
-        for triple in self.to_triples():
-            s, p, o = triple
-            if subject_terms is not None and not endpoint_match(s, subject_terms):
-                continue
-            if predicate_terms is not None and p not in predicate_terms:
-                continue
-            if object_terms is not None and not endpoint_match(o, object_terms):
-                continue
-            out.append(triple)
-        return sorted(out)
+        return sorted(self._triple_view().match(
+            *(None if term is None else eq.expand(term)
+              for term in (pattern.subject, pattern.predicate, pattern.object))))
 
     # -- persistence --------------------------------------------------------
 

@@ -23,7 +23,6 @@ from .model import (
     Record,
     RecordKey,
     RECORD_FIELDS,
-    RECORD_TYPES,
     Relation,
     SEX_CODES,
     TranslatedText,
@@ -113,19 +112,8 @@ def _check_translated(prefix: str, items: tuple[TranslatedText, ...],
 def _check_relations(prefix: str, relations: tuple[Relation, ...],
                      out: list[Violation]) -> None:
     for i, rel in enumerate(relations):
-        where = f"{prefix}[{i}]"
-        if rel.source == rel.target:
-            out.append(Violation(prefix, "invalid",
-                                 f"{where}: relation with identical endpoints"))
-        for key in (rel.source, rel.target):
-            if key.kind not in RECORD_TYPES:
-                out.append(Violation(prefix, "invalid",
-                                     f"{where}: unknown record type {key.kind!r}"))
-            if not key.id:
-                out.append(Violation(prefix, "invalid",
-                                     f"{where}: endpoint without an id"))
-        if not rel.role:
-            out.append(Violation(prefix, "invalid", f"{where}: empty role"))
+        for fault in rel.faults("endpoint without an id", "empty role"):
+            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: {fault}"))
 
 
 def _check_skills(prefix: str, skills, out: list[Violation]) -> None:

@@ -102,3 +102,30 @@ def newest_version_oracle(candidates):
         if rank(pair) > rank(best):
             best = pair
     return best
+
+
+def reference_query(triples, pattern, eq) -> list:
+    """Store.query as a scan of every triple, as it stood before the store
+    indexed its triples: each term is expanded through *eq*, a subject or
+    object matches a term whole or by its part after the first ':', and a
+    predicate matches exactly."""
+    def expand(term):
+        return None if term is None else eq.expand(term)
+
+    def endpoint_match(value, terms) -> bool:
+        return value in terms or value.split(":", 1)[-1] in terms
+
+    subject_terms = expand(pattern.subject)
+    predicate_terms = expand(pattern.predicate)
+    object_terms = expand(pattern.object)
+    out = []
+    for triple in triples:
+        s, p, o = triple
+        if subject_terms is not None and not endpoint_match(s, subject_terms):
+            continue
+        if predicate_terms is not None and p not in predicate_terms:
+            continue
+        if object_terms is not None and not endpoint_match(o, object_terms):
+            continue
+        out.append(triple)
+    return sorted(out)

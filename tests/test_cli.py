@@ -475,3 +475,22 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "warning:" in proc.stderr
+
+
+@pytest.mark.parametrize("ident", [".x", "a..b", "v.rdf"])
+def test_package_per_object_refuses_an_id_its_file_name_would_not_keep(
+        tmp_path, capsys, ident):
+    rs = linked_pair()
+    rs.add(Person(id=ident, family_names="Dotted"))
+    doc = tmp_path / "site.rdf"
+    doc.write_text(serialize_document(rs), "utf-8")
+    out = tmp_path / "session"
+    code = main(["package", str(doc), "--mode", "per-object", "--org", "TUWIEN",
+                 "--date", "06.06.2001", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert len(captured.err.splitlines()) == 1
+    assert f"person {ident!r}" in captured.err
+    assert not out.exists() or not any(out.iterdir())

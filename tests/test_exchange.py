@@ -143,6 +143,48 @@ def test_format_name_invariants():
                                  record_type="board", identifier="X"))
 
 
+@pytest.mark.parametrize("identifier", [
+    ".x", "a..b", "x.", "v.rdf", "v.RDF", "a.b.Rdf", " x", "x ", "a .b", "a. b", " ",
+])
+def test_format_name_refuses_identifiers_that_do_not_read_back(identifier):
+    name = ExchangeName(ExchangeKind.PER_OBJECT, "TUWIEN", D(2001, 6, 6),
+                        "person", identifier)
+    with pytest.raises(InvariantViolation, match="identifier"):
+        format_name(name)
+
+
+def test_format_name_accepts_exactly_the_identifiers_that_read_back():
+    # an identifier is refused exactly when parsing its rendered name would
+    # fail or give another identifier; a change name ends in the date, so
+    # "v.rdf" reads back there
+    rng = random.Random(6066)
+    alphabet = ["a", "7", ".", ".", " ", "rdf", "RDF", "-"]
+    refused = accepted = 0
+    for _ in range(3000):
+        identifier = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+        kind = rng.choice([ExchangeKind.PER_OBJECT, ExchangeKind.CHANGE])
+        name = ExchangeName(kind, "TUWIEN", D(2001, 6, 6), "person", identifier)
+        try:
+            parsed = parse_name(f"TUWIEN.06.06.2001.PERSON.{identifier}"
+                                if kind is ExchangeKind.PER_OBJECT else
+                                f"CHANGE.TUWIEN.PERSON.{identifier}.06.06.2001.rdf")
+            reads_back = parsed.identifier == identifier
+        except UnrecognizedName:
+            reads_back = False
+        if reads_back:
+            parsed = parse_name(format_name(name))
+            assert (parsed.kind, parsed.identifier) == (kind, identifier)
+            accepted += 1
+        else:
+            with pytest.raises(InvariantViolation):
+                format_name(name)
+            refused += 1
+    assert accepted > 500 and refused > 500
+    assert format_name(ExchangeName(ExchangeKind.CHANGE, "TUWIEN", D(2001, 6, 6),
+                                    "person", "v.rdf")) == \
+        "CHANGE.TUWIEN.PERSON.v.rdf.06.06.2001.rdf"
+
+
 def test_random_names_round_trip():
     rng = random.Random(271828)
     for _ in range(50):

@@ -4,9 +4,13 @@ reference_triples below is Store.to_triples as it stood before the field
 table drove it: one hand-written branch per record kind, flattening every
 current record on every call.  The store now flattens each record once and
 keeps the result next to the record object, so these tests also edit and
-merge stores between calls to show the kept triples never go stale.
+merge stores between calls to show the kept triples never go stale.  The
+last tests answer random patterns from the indexed view and compare them
+with oracles.reference_query, the scan of every triple it replaced, run over
+reference_triples.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -24,10 +28,11 @@ from cerifrdf.model import (
     status_token,
 )
 from cerifrdf.rdfxml import RecordSet, parse_document
-from cerifrdf.store import Provenance, SourceKind, Store
+from cerifrdf.store import EquivalenceMap, Provenance, SourceKind, Store, TriplePattern
 
 import randgen
 from conftest import read_data
+from oracles import reference_query
 
 GOLDEN = ["project_e015.rdf", "person_273.rdf", "orgunit_auseninstitut.rdf"]
 
@@ -244,3 +249,142 @@ def test_direct_edits_of_the_current_map_never_see_stale_triples():
     assert ("project:P1", "title", "[en/H] Newest") in triples
     assert not any(p == "partner" for _, p, _ in triples)
     assert ("person:273", "family_names", "Skalicky") in triples
+
+
+# ---------------------------------------------------------------------------
+# queries from the indexed view against the scan
+
+# predicates and their other spellings, as a --eq file would join them
+SPELLINGS = [("title", "Titel"), ("partner", "Partner", "collaborator"),
+             ("family_names", "surname"), ("employs", "beschaeftigt")]
+
+
+def colon_records() -> RecordSet:
+    """Identifiers holding ':' and literals that look like "kind:id"."""
+    rs = RecordSet()
+    rs.add(Person(id="a:b", family_names="Colon", uri="http://x"))
+    rs.add(Person(id="b", family_names="x"))
+    rs.add(Person(id="http", family_names="//x"))
+    rs.add_relation(Relation(RecordKey("person", "a:b"), RecordKey("person", "b"),
+                             role="knows"))
+    return rs
+
+
+def term_pool(store: Store) -> list[str]:
+    """Full and bare subjects and objects, predicates, class spellings and
+    terms that name nothing."""
+    terms = {"nope", "http://x", "//x", "x", "http", "b", "a:b", "person:a:b", ":", ""}
+    for s, p, o in reference_triples(store):
+        terms.update((s, s.split(":", 1)[-1], p, o, o.split(":", 1)[-1]))
+    terms.update(t for spelling in SPELLINGS for t in spelling)
+    return sorted(terms)
+
+
+def rand_eq(rng: random.Random, pool: list[str]) -> EquivalenceMap:
+    eq = EquivalenceMap()
+    for spelling in SPELLINGS:
+        if rng.random() < 0.7:
+            eq.add_class(spelling)
+    for _ in range(rng.randint(0, 4)):
+        eq.add_class(rng.sample(pool, rng.randint(2, 3)))
+    return eq
+
+
+def rand_pattern(rng: random.Random, pool: list[str]) -> TriplePattern:
+    return TriplePattern(*(rng.choice(pool) if rng.random() < 0.5 else None
+                           for _ in range(3)))
+
+
+def edit_store(rng: random.Random, store: Store, seen: list, step: int) -> None:
+    """One change of the kinds callers make: a direct edit of the current
+    map or the relation set, or a merge."""
+    keys = sorted(store.current)
+    action = rng.randrange(8)
+    if action == 0 and keys:
+        del store.current[rng.choice(keys)]
+    elif action == 1 and keys:
+        key = rng.choice(keys)
+        store.current[key] = (new_version(rng, key, keys), store.current[key][1])
+    elif action == 2 and seen:
+        key, pair = rng.choice(seen)
+        store.current[key] = pair
+    elif action == 3 and keys:
+        key = rng.choice(keys)
+        record, held = store.current[key]
+        store.current[key] = (dataclasses.replace(record), held)
+    elif action == 4 and len(keys) > 1:
+        source, target = rng.sample(keys, 2)
+        store.relations.add(Relation(source, target, rng.choice(["partner", "knows"])))
+    elif action == 5 and store.relations:
+        # sometimes one relation out and another in, so the count holds
+        store.relations.discard(rng.choice(sorted(store.relations, key=Relation.sort_key)))
+        if len(keys) > 1 and rng.random() < 0.5:
+            source, target = rng.sample(keys, 2)
+            store.relations.add(Relation(source, target, "swapped"))
+    elif action == 6:
+        store.relations = set(sorted(store.relations, key=Relation.sort_key,
+                                     reverse=rng.random() < 0.5))
+    else:
+        store.merge(randgen.rand_record_set(rng, max_records=4),
+                    prov(f"edit{step}", randgen.rand_full_date(rng)))
+    seen.extend(store.current.items())
+
+
+def test_queries_match_the_reference_scan_across_edits_and_merges():
+    answered = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        store = Store()
+        store.merge(randgen.rand_record_set(rng, max_records=10),
+                    prov("first", randgen.rand_full_date(rng)))
+        store.merge(colon_records(), prov("colons", randgen.rand_full_date(rng)))
+        seen = list(store.current.items())
+        for step in range(6):
+            triples = reference_triples(store)
+            pool = term_pool(store)
+            eq = rand_eq(rng, pool)
+            for _ in range(8):
+                pattern = rand_pattern(rng, pool)
+                for classes in (eq, None):
+                    expected = reference_query(triples, pattern, classes or EquivalenceMap())
+                    assert store.query(pattern, classes) == expected, (seed, step, pattern)
+                    answered += bool(expected)
+            assert store.to_triples() == triples
+            edit_store(rng, store, seen, step)
+    assert answered > 1000
+
+
+def test_colon_identifiers_and_literals_match_by_their_first_colon():
+    store = Store()
+    store.merge(colon_records(), prov("colons", PartialDate(2001, 6, 6)))
+
+    def matched(term: str, position: int) -> set:
+        pattern = TriplePattern(*(term if i == position else None for i in range(3)))
+        return {triple[position] for triple in store.query(pattern)}
+
+    assert matched("a:b", 0) == {"person:a:b"}
+    assert matched("b", 0) == {"person:b"}
+    assert matched("//x", 2) == {"http://x", "//x"}
+    assert matched("x", 2) == {"x"}
+    assert matched("a:b", 2) == set()
+    assert matched("http", 0) == {"person:http"}
+    assert matched("http", 2) == set()
+
+
+def test_enlarging_an_equivalence_class_only_adds_results():
+    for seed in range(40):
+        rng = random.Random(seed)
+        store = Store()
+        store.merge(randgen.rand_record_set(rng, max_records=10),
+                    prov("first", randgen.rand_full_date(rng)))
+        store.merge(colon_records(), prov("colons", randgen.rand_full_date(rng)))
+        pool = term_pool(store)
+        small = rand_eq(rng, pool)
+        patterns = [rand_pattern(rng, pool) for _ in range(10)]
+        before = [set(store.query(pattern, small)) for pattern in patterns]
+        for _ in range(3):
+            small.add_class(rng.sample(pool, 2))
+            after = [set(store.query(pattern, small)) for pattern in patterns]
+            for pattern, old, new in zip(patterns, before, after):
+                assert old <= new, (seed, pattern)
+            before = after

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from cerifrdf.errors import InvariantViolation
 from cerifrdf.model import (
     Contact,
     ExpertSkill,
@@ -16,7 +19,7 @@ from cerifrdf.model import (
     TranslatedText,
     TranslationType,
 )
-from cerifrdf.rdfxml import CERIF_NS, RecordSet
+from cerifrdf.rdfxml import CERIF_NS, RecordSet, serialize_document
 from cerifrdf.validation import (
     CascadeFrom,
     MissingMandatoryField,
@@ -88,6 +91,41 @@ def test_project_relation_invariants():
     bad_kind = good_project(relations=(
         Relation(key, RecordKey("committee", "C"), role="serves"),))
     assert ("relations", "invalid") in fields_of(validate_record(bad_kind))
+
+
+def test_relation_fault_messages_of_the_validator_and_the_serializer():
+    # the validator lists every fault, in order; the serializer refuses on
+    # the first, in its own words, for a nested and a document relation
+    key, person = RecordKey("project", "P1"), RecordKey("person", "Q")
+    board = RecordKey("board", "")
+    cases = [
+        (Relation(key, key, role="self"), ["relation with identical endpoints"],
+         "relation with identical endpoints"),
+        (Relation(key, RecordKey("committee", "C"), role="serves"),
+         ["unknown record type 'committee'"], "unknown record type 'committee'"),
+        (Relation(key, RecordKey("person", ""), role="r"),
+         ["endpoint without an id"], "relation endpoint without id"),
+        (Relation(key, person, role=""), ["empty role"], "relation without a role"),
+        (Relation(board, board, role=""),
+         ["relation with identical endpoints", "unknown record type 'board'",
+          "endpoint without an id", "unknown record type 'board'",
+          "endpoint without an id", "empty role"],
+         "relation with identical endpoints"),
+    ]
+    for rel, listed, refused in cases:
+        project = good_project(relations=(rel,))
+        assert [v.message for v in validate_record(project)] == [
+            f"relations[0]: {message}" for message in listed]
+        nested = RecordSet()
+        nested.add(project)
+        with pytest.raises(InvariantViolation) as caught:
+            serialize_document(nested, validate=False)
+        assert str(caught.value) == f"project P1: {refused}"
+        document = RecordSet()
+        document.relations = [rel]
+        with pytest.raises(InvariantViolation) as caught:
+            serialize_document(document)
+        assert str(caught.value) == f"document relations: {refused}"
 
 
 def test_person_invariants():
