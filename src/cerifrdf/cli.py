@@ -27,7 +27,8 @@ from .htmlbridge import extract_rdf, render_html
 from .model import PartialDate, parse_partial_date
 from .rdfxml import CERIF_NS, parse_document, parse_with_duplicates, serialize_document
 from .sgml import build_record_set, map_record, parse_sgml
-from .store import EquivalenceMap, Provenance, SourceKind, Store, TriplePattern
+from .store import (INDEX_FILE, EquivalenceMap, Provenance, SourceKind, Store,
+                    TriplePattern)
 from .validation import (
     apply_discard_cascade,
     duplicate_violations,
@@ -224,6 +225,10 @@ def cmd_gather(args) -> int:
 
 def cmd_query(args) -> int:
     ns = _cerif_ns()
+    # Store.load gives an empty store here, as gather needs; a query would
+    # read a mistyped path as an empty answer
+    if not (Path(args.store) / INDEX_FILE).is_file():
+        raise FormatError(f"{args.store}: no {INDEX_FILE}, so not a store")
     store = Store.load(args.store, cerif_ns=ns)
     eq = EquivalenceMap.load(args.eq) if args.eq else EquivalenceMap()
     pattern = TriplePattern.parse(args.pattern)

@@ -21,6 +21,7 @@ from .model import (
     RecordKey,
     RECORD_TYPES,
     Relation,
+    exchange_name_fault,
     format_partial_date,
     nested_relations,
     parse_partial_date,
@@ -59,17 +60,11 @@ def _check_org(org: str) -> None:
 
 def _check_identifier(name: ExchangeName) -> None:
     """Refuse an identifier that parse_name would not read back as itself."""
-    segments = name.identifier.split(".")
-    if any(not segment or segment != segment.strip() for segment in segments):
+    fault = exchange_name_fault(name.identifier,
+                                per_object=name.kind is ExchangeKind.PER_OBJECT)
+    if fault is not None:
         raise InvariantViolation(
-            f"{name.record_type} {name.identifier!r}: identifier has an empty or "
-            "space-padded dot segment, which no file name keeps")
-    # only a per-object name ends in its identifier, so only there does a
-    # last "rdf" segment read back as the extension
-    if name.kind is ExchangeKind.PER_OBJECT and segments[-1].lower() == "rdf":
-        raise InvariantViolation(
-            f"{name.record_type} {name.identifier!r}: identifier ends in an rdf "
-            "segment, which its per-object file name would read as the extension")
+            f"{name.record_type} {name.identifier!r}: identifier {fault}")
 
 
 def format_name(name: ExchangeName) -> str:

@@ -350,6 +350,20 @@ def file_safe_id(ident: str) -> bool:
     return _NOT_IN_FILE_NAMES.search(ident) is None
 
 
+def exchange_name_fault(ident: str, *, per_object: bool = True) -> str | None:
+    """Why an exchange file name would not read *ident* back as itself, or
+    None.  No file name keeps an empty or space-padded dot segment, and a
+    per-object name, which ends in its identifier, reads a last "rdf"
+    segment, in any case, as the extension."""
+    segments = ident.split(".")
+    if any(not segment or segment != segment.strip() for segment in segments):
+        return "has an empty or space-padded dot segment, which no file name keeps"
+    if per_object and segments[-1].lower() == "rdf":
+        return ("ends in an rdf segment, which its per-object file name would "
+                "read as the extension")
+    return None
+
+
 class Field(NamedTuple):
     """How one record field looks on the wire, in the validator and on a page.
 

@@ -12,19 +12,13 @@ the writer do; this module only knows how to turn each value shape into
 triples.  The store derives one read-only view of its triples, indexed by
 subject, by predicate and by object (the SPO/POS/OSP idea of Weiss, Karras
 and Bernstein, "Hexastore", VLDB 2008), and answers a pattern from the
-smallest candidate set among its bound positions.  Nothing is built by merge
-or load: the first query after a change flattens the records, and each
-position's index is built the first time a pattern binds it.
+smallest candidate set among its bound positions.
 
-Freshness rule: each query first checks that the current map holds, in the
-same order, keys and (record, provenance) pairs equal to those the view was
-built from, and the relation set equal relations in the same order.  The
-comparison tests identity first, so an unchanged store costs one pointer
-comparison per element, and an equal replacement flattens to the same
-triples.  Otherwise the view is rebuilt, and a record is flattened again
-only if it is not the very object flattened before.  A merge, a load or a
-caller editing the current map or the relation set directly therefore never
-sees stale triples.
+Store.merge and Store.load are the only ways into a store: its current map
+and its relation set are read-only to callers.  So the view is a plain
+cache: a merge drops it, the first query after a load or a merge flattens
+the current records once, and each position's index is built the first time
+a pattern binds it.
 """
 
 from __future__ import annotations
@@ -37,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import EncodingError, FormatError, InvariantViolation
 from .model import (
@@ -212,12 +207,10 @@ _TRIPLES = {
 }
 
 
-def _record_triples(key: RecordKey, record: Record) -> tuple[Triple, ...]:
+def _record_triples(key: RecordKey, record: Record):
     subject = str(key)
-    out: list[Triple] = []
     for spec, value in present_fields(record):
-        out.extend(_TRIPLES[spec.shape](subject, spec.predicate, value))
-    return tuple(out)
+        yield from _TRIPLES[spec.shape](subject, spec.predicate, value)
 
 
 def _version_key(record: Record, prov: Provenance):
@@ -245,44 +238,23 @@ class _TripleView:
     """
 
     def __init__(self, current: dict[RecordKey, tuple[Record, Provenance]],
-                 relations: set[Relation],
-                 kept: dict[RecordKey, tuple[Record, tuple[Triple, ...]]]) -> None:
-        self.keys = list(current)
-        self.pairs = list(current.values())
-        self.relations = list(relations)
-        # RecordKey -> (record, its triples), reused by the next view for
-        # every record that is still the very same object
-        self.flat: dict[RecordKey, tuple[Record, tuple[Triple, ...]]] = {}
-        for key, (record, _) in zip(self.keys, self.pairs):
-            entry = kept.get(key)
-            if entry is None or entry[0] is not record:
-                entry = (record, _record_triples(key, record))
-            self.flat[key] = entry
-        self.relation_triples = list(map(_relation_triple, self.relations))
+                 relations: set[Relation]) -> None:
+        self.filed: list[Triple] = [
+            *chain.from_iterable(_record_triples(key, record)
+                                 for key, (record, _) in current.items()),
+            *map(_relation_triple, relations)]
         # position (0 subject, 1 predicate, 2 object) -> (value -> triples,
         # part after the first ':' -> values)
         self._indexes: dict[int, tuple[dict[str, list[Triple]], dict[str, list[str]]]] = {}
 
-    def is_fresh(self, current: dict[RecordKey, tuple[Record, Provenance]],
-                 relations: set[Relation]) -> bool:
-        """The freshness rule of the module docstring."""
-        return (self.keys == list(current) and self.pairs == list(current.values())
-                and self.relations == list(relations))
-
-    def _filed(self):
-        """Every record and relation triple; one that two sources give
-        comes twice."""
-        return chain(chain.from_iterable(entry[1] for entry in self.flat.values()),
-                     self.relation_triples)
-
     def triples(self) -> set[Triple]:
         """Every triple."""
-        return set(self._filed())
+        return set(self.filed)
 
     def _index(self, position: int):
         if position not in self._indexes:
             index: defaultdict[str, list[Triple]] = defaultdict(list)
-            for triple in self._filed():
+            for triple in self.filed:
                 index[triple[position]].append(triple)
             bare: defaultdict[str, list[str]] = defaultdict(list)
             if position != 1:  # predicates match whole only
@@ -312,52 +284,63 @@ class _TripleView:
 
 
 class Store:
+    """Gathered records: the current version of each, its provenance and the
+    superseded versions, plus the document-level relations.  current and
+    relations are read-only to callers; merge and load are the only ways in."""
+
     def __init__(self) -> None:
-        self.current: dict[RecordKey, tuple[Record, Provenance]] = {}
+        self._current: dict[RecordKey, tuple[Record, Provenance]] = {}
         self.history: list[tuple[RecordKey, Record, Provenance]] = []
-        self.relations: set[Relation] = set()
-        # built by the first query after a change; see _triple_view
+        self._relations: set[Relation] = set()
+        # built by the first query after a load or a merge; see _triple_view
         self._view: _TripleView | None = None
+
+    @property
+    def current(self) -> MappingProxyType[RecordKey, tuple[Record, Provenance]]:
+        """(record, provenance) of each current version, by key."""
+        return MappingProxyType(self._current)
+
+    @property
+    def relations(self) -> frozenset[Relation]:
+        """The document-level relations gathered so far."""
+        return frozenset(self._relations)
 
     def merge(self, rs: RecordSet, prov: Provenance) -> list[str]:
         """Fold one fetched document into the store; returns merge warnings."""
+        self._view = None
         warnings: list[str] = []
         for key in sorted(rs.records):
             record = rs.records[key]
-            if key not in self.current:
-                self.current[key] = (record, prov)
+            if key not in self._current:
+                self._current[key] = (record, prov)
                 continue
-            held_record, held_prov = self.current[key]
+            held_record, held_prov = self._current[key]
             if (held_prov.fetched.latest() == prov.fetched.latest()
                     and (held_record, held_prov) != (record, prov)):
                 warnings.append(f"{key.kind} {key.id}: same-day versions from "
                                 f"{held_prov.source} and {prov.source}, "
                                 "greatest source wins")
             if _version_key(record, prov) > _version_key(held_record, held_prov):
-                self.current[key] = (record, prov)
+                self._current[key] = (record, prov)
                 self.history.append((key, held_record, held_prov))
             else:
                 self.history.append((key, record, prov))
-        self.relations.update(rs.relations)
+        self._relations.update(rs.relations)
         return warnings
 
     def versions_of(self, key: RecordKey) -> list[tuple[Record, Provenance]]:
         """Current version first, then every superseded one in arrival order."""
         out = []
-        if key in self.current:
-            out.append(self.current[key])
+        if key in self._current:
+            out.append(self._current[key])
         out.extend((record, prov) for k, record, prov in self.history if k == key)
         return out
 
     def _triple_view(self) -> _TripleView:
-        """The indexed view of the current triples, rebuilt first if the
-        current map or the relation set no longer holds what it was built
-        from."""
-        view = self._view
-        if view is None or not view.is_fresh(self.current, self.relations):
-            view = self._view = _TripleView(self.current, self.relations,
-                                            view.flat if view is not None else {})
-        return view
+        """The indexed view of the current triples, built on first use."""
+        if self._view is None:
+            self._view = _TripleView(self._current, self._relations)
+        return self._view
 
     def to_triples(self) -> set[Triple]:
         """Flatten current records to subject-predicate-object triples.
@@ -380,9 +363,9 @@ class Store:
         The bound position with the fewest indexed triples for its expanded
         terms names the candidates, and only they are tested against every
         bound position; a pattern with no bound position returns every
-        triple.  The indexed view is rebuilt first if the store fails the
-        freshness rule of the module docstring, so a direct edit of the
-        current map or the relation set is seen by the next query.
+        triple.  The indexed view is built by the first query after a load
+        or a merge, the only ways into the store, and kept until the next
+        merge.
         """
         eq = eq if eq is not None else EquivalenceMap()
         return sorted(self._triple_view().match(
@@ -395,7 +378,7 @@ class Store:
         """Write one canonical file per current record plus the provenance
         index; stale record files from earlier saves are removed.  An
         identifier that cannot name a file raises before anything is written."""
-        keys = sorted(self.current)
+        keys = sorted(self._current)
         for key in keys:
             if not file_safe_id(key.id):
                 raise InvariantViolation(
@@ -403,9 +386,9 @@ class Store:
                     "control character; store not saved")
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
-        expected = {RELATIONS_FILE} if self.relations else set()
+        expected = {RELATIONS_FILE} if self._relations else set()
         for key in keys:
-            record, _ = self.current[key]
+            record, _ = self._current[key]
             rs = RecordSet()
             rs.records[key] = record
             file_name = f"{key.kind}.{key.id}.rdf"
@@ -415,9 +398,9 @@ class Store:
             (root / file_name).write_text(
                 serialize_document(rs, cerif_ns=cerif_ns, validate=False),
                 "utf-8")
-        if self.relations:
+        if self._relations:
             rs = RecordSet()
-            rs.relations = sorted(self.relations, key=Relation.sort_key)
+            rs.relations = sorted(self._relations, key=Relation.sort_key)
             (root / RELATIONS_FILE).write_text(
                 serialize_document(rs, cerif_ns=cerif_ns), "utf-8")
         for path in root.glob("*.rdf"):
@@ -426,7 +409,7 @@ class Store:
 
         lines = []
         for key in keys:
-            _, prov = self.current[key]
+            _, prov = self._current[key]
             lines.append(f"{key}\t{prov.source}\t"
                          f"{format_partial_date(prov.fetched)}\t{prov.kind.value}")
         write_atomic(root / INDEX_FILE, "".join(line + "\n" for line in lines))
@@ -437,6 +420,8 @@ class Store:
         """Rebuild the current map from a saved directory.
 
         History is not persisted; a reloaded store starts with an empty one.
+        A directory without a provenance index gives an empty store; a key
+        that two record files hold raises FormatError.
         """
         root = Path(directory)
         store = cls()
@@ -451,13 +436,18 @@ class Store:
                 raise FormatError(f"{index_path}:{lineno}: unknown source kind "
                                   f"{kind_text!r}") from None
             provenance[subject] = Provenance(source, parse_partial_date(date_text), kind)
+        held_in: dict[RecordKey, str] = {}
         for path in sorted(root.glob("*.rdf")):
             rs, _ = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
-            store.relations.update(rs.relations)
+            store._relations.update(rs.relations)
             for key, record in rs.records.items():
                 prov = provenance.get(str(key))
                 if prov is None:
                     raise FormatError(f"{path.name}: no provenance index entry "
                                       f"for {key}")
-                store.current[key] = (record, prov)
+                if key in held_in:
+                    raise FormatError(f"{key} is held by two record files, "
+                                      f"{held_in[key]} and {path.name}")
+                held_in[key] = path.name
+                store._current[key] = (record, prov)
         return store

@@ -26,6 +26,7 @@ from .model import (
     Relation,
     SEX_CODES,
     TranslatedText,
+    exchange_name_fault,
     file_safe_id,
 )
 from .rdfxml import CERIF_NS, RecordSet, parse_with_duplicates
@@ -182,6 +183,8 @@ def validate_record(record: Record) -> list[Violation]:
     elif not file_safe_id(record.id):
         out.append(Violation("id", "invalid", f"identifier {record.id!r} holds "
                                               "'/', '\\' or a control character"))
+    elif (fault := exchange_name_fault(record.id)) is not None:
+        out.append(Violation("id", "invalid", f"identifier {record.id!r} {fault}"))
     for attr, default, check, missing in _PLANS[type(record)]:
         value = getattr(record, attr)
         if value != default:

@@ -69,6 +69,16 @@ def _eq_map_not_utf8(tmp_path):
             "--eq", str(eq)]
 
 
+def _record_key_in_two_files(tmp_path):
+    store = _store(tmp_path, INDEX_LINE.encode())
+    (Path(store) / "zz.rdf").write_text(DOCUMENT, "utf-8")
+    return ["query", "(OU, ?, ?)", "--store", store]
+
+
+def _store_without_index(tmp_path):
+    return ["query", "(?, ?, ?)", "--store", str(tmp_path / "no-such-store")]
+
+
 def _registry_not_utf8(tmp_path):
     doc = tmp_path / "site.rdf"
     doc.write_text(DOCUMENT.replace('ID="OU"/>', 'ID="OU"><cerif:orgunit.orgunit_names>'
@@ -91,6 +101,8 @@ def _registry_not_utf8(tmp_path):
     _index_not_utf8,
     _record_file_not_utf8,
     _eq_map_not_utf8,
+    _record_key_in_two_files,
+    _store_without_index,
     _registry_not_utf8,
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, make_args):

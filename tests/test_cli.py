@@ -480,17 +480,44 @@ def test_module_entry_point():
 @pytest.mark.parametrize("ident", [".x", "a..b", "v.rdf"])
 def test_package_per_object_refuses_an_id_its_file_name_would_not_keep(
         tmp_path, capsys, ident):
+    # validate_record reports the identifier, so the cascade discards the
+    # record in both packaging modes, as it does an identifier holding '/'
     rs = linked_pair()
     rs.add(Person(id=ident, family_names="Dotted"))
     doc = tmp_path / "site.rdf"
-    doc.write_text(serialize_document(rs), "utf-8")
+    doc.write_text(serialize_document(rs, validate=False), "utf-8")
+    discard = f"DISCARD person {ident} missing-mandatory-field:id"
+
+    assert main(["validate", str(doc)]) == 1
+    violation, *rest = capsys.readouterr().out.splitlines()
+    assert violation.startswith(f"VIOLATION person {ident} identifier {ident!r} ")
+    assert rest == [discard]
+
     out = tmp_path / "session"
     code = main(["package", str(doc), "--mode", "per-object", "--org", "TUWIEN",
                  "--date", "06.06.2001", "--out", str(out)])
     captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.count("error:") == 1
-    assert len(captured.err.splitlines()) == 1
-    assert f"person {ident!r}" in captured.err
-    assert not out.exists() or not any(out.iterdir())
+    assert code == 1
+    assert "error:" not in captured.err
+    written = ["TUWIEN.06.06.2001.PERSON.273", "TUWIEN.06.06.2001.PROJECT.E015-01-08"]
+    assert captured.out.splitlines() == [discard, *written]
+    assert sorted(p.name for p in out.iterdir()) == written
+
+    code = main(["package", str(doc), "--mode", "all", "--org", "TUWIEN",
+                 "--date", "06.06.2001", "--out", str(tmp_path / "all")])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [discard, "TUWIEN.06.06.2001.ALL"]
+    assert "Dotted" not in (tmp_path / "all" / "TUWIEN.06.06.2001.ALL").read_text("utf-8")
+
+
+def test_convert_sgml_discards_an_id_no_file_name_keeps(tmp_path, capsys):
+    sgml = tmp_path / "export.sgml"
+    sgml.write_text("".join(f"<RECORD>\n<RCN>{rcn}\n<DEG>Institut\n</RECORD>\n"
+                            for rcn in (".x", "v.rdf", "7")), "utf-8")
+    code = main(["convert-sgml", str(sgml), "--org", "TUWIEN", "--date", "06.06.2001",
+                 "--out", str(tmp_path / "converted")])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "DISCARD orgunit .x missing-mandatory-field:id",
+        "DISCARD orgunit v.rdf missing-mandatory-field:id",
+        "TUWIEN.06.06.2001.ORGUNIT.7"]

@@ -31,6 +31,7 @@ from cerifrdf.model import (
     TranslationType,
 )
 from cerifrdf.rdfxml import RecordSet
+from cerifrdf.validation import validate_record
 
 import randgen
 
@@ -171,6 +172,11 @@ def test_format_name_accepts_exactly_the_identifiers_that_read_back():
             reads_back = parsed.identifier == identifier
         except UnrecognizedName:
             reads_back = False
+        if kind is ExchangeKind.PER_OBJECT:
+            # the validator applies the same rules, so the discard cascade
+            # drops every record whose per-object name would be refused
+            violations = validate_record(Person(id=identifier, family_names="x"))
+            assert [v.field for v in violations] == ([] if reads_back else ["id"])
         if reads_back:
             parsed = parse_name(format_name(name))
             assert (parsed.kind, parsed.identifier) == (kind, identifier)

@@ -370,13 +370,18 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_save_removes_stale_files(tmp_path):
-    store = built_store()
-    store.save(tmp_path)
-    del store.current[RecordKey("person", "273")]
-    store.relations.clear()
-    store.save(tmp_path)
+    built_store().save(tmp_path)
+    smaller = Store()
+    rs = RecordSet()
+    rs.add(OrgUnit(id="TUWIEN",
+                   names=(TranslatedText("de", TranslationType.ORIGINAL, "TU Wien"),)))
+    smaller.merge(rs, prov("tuwien", D(2001, 6, 7), SourceKind.PER_OBJECT))
+    smaller.save(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "orgunit.TUWIEN.rdf", INDEX_FILE]
+    loaded = Store.load(tmp_path)
+    assert loaded.current == smaller.current
+    assert loaded.relations == frozenset()
 
 
 def test_load_missing_directory_is_empty(tmp_path):
@@ -399,6 +404,15 @@ def test_load_rejects_unindexed_record(tmp_path):
     with pytest.raises(FormatError) as err:
         Store.load(tmp_path)
     assert "person:273" in str(err.value)
+
+
+def test_load_rejects_a_key_in_two_record_files(tmp_path):
+    built_store().save(tmp_path)
+    (tmp_path / "zz.rdf").write_bytes((tmp_path / "person.273.rdf").read_bytes())
+    with pytest.raises(FormatError) as err:
+        Store.load(tmp_path)
+    assert str(err.value) == ("person:273 is held by two record files, "
+                              "person.273.rdf and zz.rdf")
 
 
 def test_save_load_with_custom_namespace(tmp_path):
