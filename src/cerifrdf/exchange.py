@@ -134,7 +134,7 @@ def parse_name(text: str) -> ExchangeName:
         if len(segments) != 3:
             raise UnrecognizedName(f"{text!r}: expected ANNUAL.ORG.YYYY")
         org, year = segments[1], segments[2]
-        if not (year.isdigit() and len(year) == 4):
+        if not (year.isdecimal() and len(year) == 4):
             raise UnrecognizedName(f"{text!r}: {year!r} is not a four-digit year")
         return ExchangeName(ExchangeKind.ANNUAL, org, PartialDate(int(year)),
                             extension=extension)

@@ -20,12 +20,11 @@ RECORD_TYPES = ("project", "person", "orgunit", "equipment", "result",
                 "publication", "patent")
 
 LANGUAGE_RE = re.compile(r"^[a-z]{2}$")
-_WS_RUN = re.compile(r"\s+")
 
 
 def collapse_ws(text: str) -> str:
     """Trim *text* and collapse interior whitespace runs to single spaces."""
-    return _WS_RUN.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 def split_semicolon_list(text: str) -> list[str]:
@@ -136,7 +135,8 @@ def _date_fields(text: str, sep: str) -> list[int]:
     values = []
     for part in parts:
         p = part.strip()
-        if not p or not p.isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as '²'
+        if not p or not p.isdecimal():
             raise FormatError(f"non-numeric date field {part!r} in {text!r}")
         n = int(p)
         if n == 0:

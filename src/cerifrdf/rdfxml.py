@@ -18,6 +18,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import DuplicateId, InvariantViolation, MissingId, UnknownCode, XmlError
@@ -190,30 +191,50 @@ def _split_tag(tag: str) -> tuple[str | None, str]:
     return None, tag
 
 
-def _cerif_local(tag: str, cerif_ns: str, warnings: list[str]) -> str | None:
-    """Local name of a cerif element, tolerating the bare 'cerif.' spelling."""
+@lru_cache(maxsize=1024)  # tags come from the input, so the cache is bounded
+def _cerif_tag(tag: str, cerif_ns: str) -> tuple[str, str, bool] | None:
+    """(local name, canonical spelling, whether it came bare) of a cerif
+    element tag, or None for a tag in another namespace.  A bare tag is the
+    'cerif.x' spelling without a namespace, read as cerif:x."""
     uri, local = _split_tag(tag)
     if uri == cerif_ns:
-        return local
-    if uri is None and local.startswith("cerif."):
-        warnings.append(f"element {local} read as cerif:{local[len('cerif.'):]}")
-        return local[len("cerif."):]
-    return None
+        bare = False
+    elif uri is None and local.startswith("cerif."):
+        local, bare = local[len("cerif."):], True
+    else:
+        return None
+    return local, resolve_alias(local)[0], bare
+
+
+def _cerif_local(tag: str, cerif_ns: str,
+                 warnings: list[str]) -> tuple[str, str] | None:
+    """(local name, canonical spelling) of a cerif element, tolerating the
+    bare 'cerif.' spelling with a warning at each occurrence."""
+    names = _cerif_tag(tag, cerif_ns)
+    if names is None:
+        return None
+    local, canonical, bare = names
+    if bare:
+        warnings.append(f"element cerif.{local} read as cerif:{local}")
+    return local, canonical
 
 
 def _cerif_children(el: ET.Element, cerif_ns: str, warnings: list[str], where: str):
-    """(child, local name) for each cerif child of *el*, in order; a child
-    from another namespace is warned about where it stands and skipped."""
+    """(child, local name, canonical spelling) for each cerif child of *el*,
+    in order; a child from another namespace is warned about where it stands
+    and skipped."""
     for child in el:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
+        names = _cerif_local(child.tag, cerif_ns, warnings)
+        if names is None:
             warnings.append(f"{where}: foreign element ignored")
         else:
-            yield child, local
+            yield child, *names
 
 
 def _text_of(el: ET.Element) -> str:
-    return collapse_ws("".join(el.itertext()))
+    if len(el):
+        return collapse_ws("".join(el.itertext()))
+    return collapse_ws(el.text or "")
 
 
 def _read_bag(container: ET.Element, read_item, cerif_ns: str, warnings: list[str],
@@ -252,7 +273,7 @@ def _parse_translated(item: ET.Element, cerif_ns: str, warnings: list[str],
     translation = None
     text = ""
     have_text = False
-    for child, local in _cerif_children(item, cerif_ns, warnings, where):
+    for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         if "lang" in lowered:
             language = _text_of(child).lower()
@@ -275,7 +296,7 @@ def _parse_skill(item: ET.Element, cerif_ns: str, warnings: list[str],
                  where: str) -> ExpertSkill:
     role: str | None = None
     skill = ""
-    for child, local in _cerif_children(item, cerif_ns, warnings, where):
+    for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         if local.lower().endswith(".role"):
             role = _text_of(child) or None
         else:
@@ -286,7 +307,7 @@ def _parse_skill(item: ET.Element, cerif_ns: str, warnings: list[str],
 def _parse_contact(item: ET.Element, cerif_ns: str, warnings: list[str],
                    where: str) -> Contact:
     fields = {"telephone": None, "email": None, "uri": None}
-    for child, local in _cerif_children(item, cerif_ns, warnings, where):
+    for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         for name in fields:
             if lowered.endswith("." + name) or lowered == name:
@@ -301,7 +322,7 @@ def _parse_ou_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
                        where: str) -> OuOuRelation | None:
     target = None
     role = ""
-    for child, local in _cerif_children(item, cerif_ns, warnings, where):
+    for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         if local.lower().endswith(".role"):
             role = _text_of(child)
         elif "resource" in child.attrib:
@@ -320,7 +341,7 @@ def _parse_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
     target = None
     role = ""
     mandatory = False
-    for child, local in _cerif_children(item, cerif_ns, warnings, where):
+    for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         if lowered.startswith("rel.from.") or lowered.startswith("rel.to."):
             kind = lowered.rsplit(".", 1)[1]
@@ -477,8 +498,7 @@ def _parse_record(el: ET.Element, kind: str, cerif_ns: str,
     ident = _record_id(el, kind)
     owner = f"{kind} {ident}"
     values: dict = {}
-    for child, local in _cerif_children(el, cerif_ns, warnings, owner):
-        canonical, _ = resolve_alias(local)
+    for child, local, canonical in _cerif_children(el, cerif_ns, warnings, owner):
         hit = elements.get(canonical)
         if hit is None:
             warnings.append(f"{owner}: unknown element cerif:{local} ignored")
@@ -523,11 +543,11 @@ def _parse(data: str | bytes, cerif_ns: str,
     rs = RecordSet()
     duplicates: list[RecordKey] = []
     for child in root:
-        local = _cerif_local(child.tag, cerif_ns, warnings)
-        if local is None:
+        names = _cerif_local(child.tag, cerif_ns, warnings)
+        if names is None:
             warnings.append("non-CERIF element under rdf:RDF ignored")
             continue
-        canonical, known = resolve_alias(local)
+        local, canonical = names
         if canonical in RECORD_CLASSES:
             record = _parse_record(child, canonical, cerif_ns, warnings)
             key = record.key

@@ -19,6 +19,15 @@ and its relation set are read-only to callers.  So the view is a plain
 cache: a merge drops it, the first query after a load or a merge flattens
 the current records once, and each position's index is built the first time
 a pattern binds it.
+
+A gatherer merges the same sources again and again, so most records are
+unchanged between saves.  A store remembers the directory and namespace its
+files on disk describe (the ones it was loaded from or last saved to) and
+which keys merge has changed since; a save back to that directory under that
+namespace writes only those records' files, and the relation file only when
+the relation set grew.  Unchanged records keep the file bytes they were
+loaded from; load counts a record as changed when it found it outside its
+own file or read it with warnings.  Any other target gets every file.
 """
 
 from __future__ import annotations
@@ -213,10 +222,9 @@ def _record_triples(key: RecordKey, record: Record):
         yield from _TRIPLES[spec.shape](subject, spec.predicate, value)
 
 
-def _version_key(record: Record, prov: Provenance):
-    # repr is deterministic for these frozen dataclasses and breaks the
-    # pathological tie of equal date and equal source.
-    return (prov.fetched.latest(), prov.source, repr(record))
+def _record_file(key: RecordKey) -> str:
+    """Name of the store file that holds the record *key*."""
+    return f"{key.kind}.{key.id}.rdf"
 
 
 def _endpoint_match(value: str, terms: frozenset[str]) -> bool:
@@ -294,6 +302,12 @@ class Store:
         self._relations: set[Relation] = set()
         # built by the first query after a load or a merge; see _triple_view
         self._view: _TripleView | None = None
+        # (resolved directory, namespace) whose files hold every current
+        # record except the keys in _changed, and the relation set unless
+        # _relations_changed; set by load and by each save that completes
+        self._on_disk: tuple[Path, str] | None = None
+        self._changed: set[RecordKey] = set()
+        self._relations_changed = False
 
     @property
     def current(self) -> MappingProxyType[RecordKey, tuple[Record, Provenance]]:
@@ -306,26 +320,43 @@ class Store:
         return frozenset(self._relations)
 
     def merge(self, rs: RecordSet, prov: Provenance) -> list[str]:
-        """Fold one fetched document into the store; returns merge warnings."""
+        """Fold one fetched document into the store; returns merge warnings.
+
+        The version with the latest fetched date wins, then the greatest
+        source, then the greatest repr(record), which is deterministic for
+        these frozen dataclasses and breaks the pathological tie of equal
+        date and equal source.  A key is marked for the next save when it is
+        new or its winning record differs from the one it replaces; a newer
+        fetch of equal content changes only the provenance index.
+        """
         self._view = None
         warnings: list[str] = []
+        fetched = prov.fetched.latest()
         for key in sorted(rs.records):
             record = rs.records[key]
-            if key not in self._current:
+            held = self._current.get(key)
+            if held is None:
                 self._current[key] = (record, prov)
+                self._changed.add(key)
                 continue
-            held_record, held_prov = self._current[key]
-            if (held_prov.fetched.latest() == prov.fetched.latest()
-                    and (held_record, held_prov) != (record, prov)):
+            held_record, held_prov = held
+            held_fetched = held_prov.fetched.latest()
+            if held_fetched == fetched and held != (record, prov):
                 warnings.append(f"{key.kind} {key.id}: same-day versions from "
                                 f"{held_prov.source} and {prov.source}, "
                                 "greatest source wins")
-            if _version_key(record, prov) > _version_key(held_record, held_prov):
+            rank, held_rank = (fetched, prov.source), (held_fetched, held_prov.source)
+            if rank > held_rank or (rank == held_rank
+                                    and repr(record) > repr(held_record)):
                 self._current[key] = (record, prov)
                 self.history.append((key, held_record, held_prov))
+                if record != held_record:
+                    self._changed.add(key)
             else:
                 self.history.append((key, record, prov))
+        size = len(self._relations)
         self._relations.update(rs.relations)
+        self._relations_changed |= len(self._relations) > size
         return warnings
 
     def versions_of(self, key: RecordKey) -> list[tuple[Record, Provenance]]:
@@ -376,8 +407,18 @@ class Store:
 
     def save(self, directory: str | os.PathLike, *, cerif_ns: str = CERIF_NS) -> None:
         """Write one canonical file per current record plus the provenance
-        index; stale record files from earlier saves are removed.  An
-        identifier that cannot name a file raises before anything is written."""
+        index; stale record files from earlier saves are removed and the
+        index is written last.  An identifier that cannot name a file raises
+        before anything is written.
+
+        Saved back to the directory the store was loaded from or last saved
+        to, under the same namespace, only the records that merge changed
+        since are written, and _relations.rdf only when the relation set
+        grew; unchanged records keep the bytes they were loaded with.  Any
+        other directory or namespace gets every file.  What is marked
+        changed is forgotten only once the index is written, so a save that
+        raises part way loses nothing for the next one.
+        """
         keys = sorted(self._current)
         for key in keys:
             if not file_safe_id(key.id):
@@ -386,19 +427,22 @@ class Store:
                     "control character; store not saved")
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
+        target = (root.resolve(), cerif_ns)
+        write_all = target != self._on_disk
         expected = {RELATIONS_FILE} if self._relations else set()
         for key in keys:
-            record, _ = self._current[key]
-            rs = RecordSet()
-            rs.records[key] = record
-            file_name = f"{key.kind}.{key.id}.rdf"
+            file_name = _record_file(key)
             expected.add(file_name)
+            if not write_all and key not in self._changed:
+                continue
+            rs = RecordSet()
+            rs.records[key] = self._current[key][0]
             # gathered records may be partial, so persistence skips the
             # mandatory-field check that exchange output enforces
             (root / file_name).write_text(
                 serialize_document(rs, cerif_ns=cerif_ns, validate=False),
                 "utf-8")
-        if self._relations:
+        if self._relations and (write_all or self._relations_changed):
             rs = RecordSet()
             rs.relations = sorted(self._relations, key=Relation.sort_key)
             (root / RELATIONS_FILE).write_text(
@@ -413,6 +457,9 @@ class Store:
             lines.append(f"{key}\t{prov.source}\t"
                          f"{format_partial_date(prov.fetched)}\t{prov.kind.value}")
         write_atomic(root / INDEX_FILE, "".join(line + "\n" for line in lines))
+        self._on_disk = target
+        self._changed.clear()
+        self._relations_changed = False
 
     @classmethod
     def load(cls, directory: str | os.PathLike, *,
@@ -420,8 +467,15 @@ class Store:
         """Rebuild the current map from a saved directory.
 
         History is not persisted; a reloaded store starts with an empty one.
-        A directory without a provenance index gives an empty store; a key
-        that two record files hold raises FormatError.
+        A directory without a provenance index gives an empty store.  A key
+        that two record files hold, a record the index does not list and an
+        indexed key that no record file holds raise FormatError.
+
+        A record read from anything but its own kind.id.rdf file holding
+        nothing else, relations read from anything but _relations.rdf
+        holding no record, and whatever a file gave with reader warnings are
+        marked changed: the next save into this directory writes them in
+        their canonical file and form, as a save of every file would.
         """
         root = Path(directory)
         store = cls()
@@ -438,16 +492,32 @@ class Store:
             provenance[subject] = Provenance(source, parse_partial_date(date_text), kind)
         held_in: dict[RecordKey, str] = {}
         for path in sorted(root.glob("*.rdf")):
-            rs, _ = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
+            rs, warnings = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
+            if warnings:
+                own_file = False
+            elif rs.records:
+                own_file = (not rs.relations and len(rs.records) == 1
+                            and path.name == _record_file(next(iter(rs.records))))
+            else:
+                own_file = path.name == RELATIONS_FILE
             store._relations.update(rs.relations)
+            store._relations_changed |= bool(rs.relations) and not own_file
             for key, record in rs.records.items():
-                prov = provenance.get(str(key))
-                if prov is None:
-                    raise FormatError(f"{path.name}: no provenance index entry "
-                                      f"for {key}")
                 if key in held_in:
                     raise FormatError(f"{key} is held by two record files, "
                                       f"{held_in[key]} and {path.name}")
+                prov = provenance.pop(str(key), None)
+                if prov is None:
+                    raise FormatError(f"{path.name}: no provenance index entry "
+                                      f"for {key}")
                 held_in[key] = path.name
                 store._current[key] = (record, prov)
+                if not own_file:
+                    store._changed.add(key)
+        if provenance:
+            subject = min(provenance)
+            kind, _, ident = subject.partition(":")
+            raise FormatError(f"{index_path}: no record file holds {subject}; "
+                              f"expected {_record_file(RecordKey(kind, ident))}")
+        store._on_disk = (root.resolve(), cerif_ns)
         return store

@@ -129,3 +129,30 @@ def reference_query(triples, pattern, eq) -> list:
             continue
         out.append(triple)
     return sorted(out)
+
+
+def reference_merge(batches):
+    """Store.merge as it stood when every conflict compared the whole version
+    key (latest fetched date, source, repr of the record) of both versions.
+
+    Folds (record set, provenance) batches in order and returns the current
+    map {key: (record, provenance)} and the history list of (key, record,
+    provenance) for each version that lost.
+    """
+    def version_key(record, prov):
+        return (prov.fetched.latest(), prov.source, repr(record))
+
+    current, history = {}, []
+    for rs, prov in batches:
+        for key in sorted(rs.records):
+            record = rs.records[key]
+            if key not in current:
+                current[key] = (record, prov)
+                continue
+            held_record, held_prov = current[key]
+            if version_key(record, prov) > version_key(held_record, held_prov):
+                current[key] = (record, prov)
+                history.append((key, held_record, held_prov))
+            else:
+                history.append((key, record, prov))
+    return current, history

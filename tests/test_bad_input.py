@@ -75,6 +75,17 @@ def _record_key_in_two_files(tmp_path):
     return ["query", "(OU, ?, ?)", "--store", store]
 
 
+def _indexed_key_without_record_file(tmp_path):
+    index = INDEX_LINE + "person:273\tsrc\t01.01.2001\tall\n"
+    return ["query", "(?, ?, ?)", "--store", _store(tmp_path, index.encode())]
+
+
+def _date_with_superscript_digit(tmp_path):
+    doc = tmp_path / "site.rdf"
+    doc.write_text(DOCUMENT, "utf-8")
+    return ["gather", str(doc), "--store", str(tmp_path / "st"), "--date", "²"]
+
+
 def _store_without_index(tmp_path):
     return ["query", "(?, ?, ?)", "--store", str(tmp_path / "no-such-store")]
 
@@ -102,6 +113,8 @@ def _registry_not_utf8(tmp_path):
     _record_file_not_utf8,
     _eq_map_not_utf8,
     _record_key_in_two_files,
+    _indexed_key_without_record_file,
+    _date_with_superscript_digit,
     _store_without_index,
     _registry_not_utf8,
 ])

@@ -118,6 +118,8 @@ def test_whitespace_around_segments_tolerated():
     "TUWIEN.06.06.2001.PROJECT",
     "ANNUAL.TUWIEN.01.05.2001.rdf",
     "ANNUAL.TUWIEN.99.rdf",
+    "ANNUAL.TUWIEN.²⁰⁰¹.rdf",
+    "TUWIEN.06.06.²⁰⁰¹.ALL",
     "CHANGE.TUWIEN.PROJECT.01.05.2001.rdf",
     "CHANGE.TUWIEN.COMMITTEE.X.01.05.2001.rdf",
 ])

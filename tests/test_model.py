@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -72,7 +73,8 @@ def test_zero_fields_rejected():
 
 
 @pytest.mark.parametrize("text", ["", "  ", "a.b.c", "1.2.3.4", "06..2000",
-                                  "31.13.2001", "32.01.2001", "01.01.0999"])
+                                  "31.13.2001", "32.01.2001", "01.01.0999",
+                                  "²", "06.06.²⁰⁰¹"])
 def test_malformed_dates_rejected(text):
     with pytest.raises(FormatError):
         parse_partial_date(text)
@@ -140,6 +142,21 @@ def test_default_status():
 def test_collapse_ws():
     assert collapse_ws("  a \t b\n c ") == "a b c"
     assert collapse_ws("\n") == ""
+
+
+def test_collapse_ws_equals_the_regex_form_on_every_code_point():
+    whitespace_run = re.compile(r"\s+")
+
+    def regex_form(text):
+        return whitespace_run.sub(" ", text).strip()
+
+    chars = list(map(chr, range(0x110000)))
+    assert list(map(collapse_ws, chars)) == list(map(regex_form, chars))
+    # between letters, 4096 code points to a text: a letter never collapses,
+    # so the texts agree exactly when every code point's pair does
+    for start in range(0, len(chars), 4096):
+        text = "".join(f"a{c}b" for c in chars[start:start + 4096])
+        assert collapse_ws(text) == regex_form(text)
 
 
 def test_semicolon_lists_round_trip():

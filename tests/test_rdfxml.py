@@ -109,6 +109,8 @@ def test_golden_orgunit_quirks(golden_orgunit_text):
     assert [sk.skill for sk in ou.expert_skills] == \
         ["CRIS-Current Research Information System"]
     assert sum("cerif.orgunit" in w for w in warnings) == 2
+    # and again when the same tags are read a second time
+    assert parse_document(golden_orgunit_text)[1] == warnings
 
 
 # ---------------------------------------------------------------------------

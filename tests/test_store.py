@@ -1,9 +1,14 @@
 """Tests for the gathered-record store: merging, triples, queries, disk form."""
 
+import copy
+import dataclasses
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from cerifrdf import store as store_module
 from cerifrdf.errors import FormatError, InvariantViolation
 from cerifrdf.model import (
     Contact,
@@ -19,7 +24,7 @@ from cerifrdf.model import (
     TranslatedText,
     TranslationType,
 )
-from cerifrdf.rdfxml import RecordSet, parse_document
+from cerifrdf.rdfxml import CERIF_NS, RecordSet, parse_document, serialize_document
 from cerifrdf.store import (
     INDEX_FILE,
     RELATIONS_FILE,
@@ -31,7 +36,7 @@ from cerifrdf.store import (
 )
 
 import randgen
-from oracles import newest_version_oracle
+from oracles import newest_version_oracle, reference_merge
 
 D = PartialDate
 
@@ -422,3 +427,227 @@ def test_save_load_with_custom_namespace(tmp_path):
     assert ns in (tmp_path / "person.273.rdf").read_text("utf-8")
     loaded = Store.load(tmp_path, cerif_ns=ns)
     assert loaded.current == store.current
+
+
+def test_load_rejects_an_indexed_key_without_a_record_file(tmp_path):
+    built_store().save(tmp_path)
+    (tmp_path / "person.273.rdf").unlink()
+    with pytest.raises(FormatError) as err:
+        Store.load(tmp_path)
+    assert str(err.value) == (f"{tmp_path / INDEX_FILE}: no record file holds "
+                              "person:273; expected person.273.rdf")
+
+
+# ---------------------------------------------------------------------------
+# incremental save
+
+OTHER_NS = "http://example.org/schema#"
+MAKERS = {"project": randgen.rand_project, "person": randgen.rand_person,
+          "orgunit": randgen.rand_orgunit}
+
+
+def versioned_batches(rng: random.Random, flawed: bool, count: int = 7) -> list:
+    """Seeded (record set, provenance) batches over one pool of keys.
+
+    Each later batch gives some keys again, either the content last given
+    (equal) or a new version, on a day before, on or after the others, from
+    one of two sources, so newer, older and equal versions meet, and
+    same-day versions from an equal source too.  Some batches add a key or a
+    document-level relation.  With *flawed*, records may break their
+    mandatory rules.
+    """
+    base = (randgen.flawed_record_set(rng, 8) if flawed
+            else randgen.rand_record_set(rng, 8))
+    last = dict(base.records)
+    days = [D(2001, 6, 5), D(2001, 6, 6), D(2001, 6, 7)]
+    batches = [(base, prov("b", days[1]))]
+    for n in range(count - 1):
+        rs = RecordSet()
+        for key in sorted(last):
+            roll = rng.random()
+            if roll < 0.6:
+                record = last[key]
+                if roll < 0.3:
+                    record = MAKERS[key.kind](rng, key.id)
+                    if flawed and rng.random() < 0.35:
+                        record = randgen._break_record(rng, record)
+                    last[key] = record
+                rs.records[key] = record
+        if rng.random() < 0.3:
+            record = randgen.rand_person(rng, f"NEW-{n}")
+            rs.records[record.key] = last[record.key] = record
+        if rng.random() < 0.5 and len(last) > 1:
+            source, target = rng.sample(sorted(last), 2)
+            rs.add_relation(Relation(source, target, role=rng.choice(["head", "member"])))
+        batches.append((rs, prov(rng.choice("ab"), rng.choice(days))))
+    return batches
+
+
+def files_in(directory) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+
+
+def full_save(store: Store, directory, ns: str = CERIF_NS) -> dict[str, bytes]:
+    """Names and bytes of a save of a copy of *store* into a new directory."""
+    copy.deepcopy(store).save(directory, cerif_ns=ns)
+    return files_in(directory)
+
+
+def read_back(record):
+    """*record* as a reload gives it: the reader drops an org-unit relation
+    without a target, which a flawed record can hold and the store writes."""
+    if isinstance(record, OrgUnit):
+        return dataclasses.replace(record, ou_relations=tuple(
+            rel for rel in record.ou_relations if rel.target))
+    return record
+
+
+def assert_saved(store: Store, directory, ns: str, fresh) -> None:
+    assert files_in(directory) == full_save(store, fresh, ns)
+    loaded = Store.load(directory, cerif_ns=ns)
+    assert loaded.current == {key: (read_back(record), p)
+                              for key, (record, p) in store.current.items()}
+    assert loaded.relations == store.relations
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_merge_agrees_with_the_whole_version_key(seed):
+    batches = versioned_batches(random.Random(seed), flawed=seed % 2 == 1, count=10)
+    store = Store()
+    for rs, p in batches:
+        store.merge(rs, p)
+    current, history = reference_merge(batches)
+    assert store.current == current
+    assert store.history == history
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_each_save_leaves_what_a_full_save_writes(tmp_path, seed):
+    rng = random.Random(1000 + seed)
+    directories, ns = [tmp_path / "home", tmp_path / "away"], CERIF_NS
+    store = Store()
+    actions = itertools.cycle(["save", "reload", "save", "move", "save", "namespace"])
+    for n, ((rs, p), action) in enumerate(zip(versioned_batches(rng, seed % 2 == 1),
+                                              actions)):
+        store.merge(rs, p)
+        if action == "move":
+            directories.reverse()
+        elif action == "namespace":
+            ns = OTHER_NS if ns == CERIF_NS else CERIF_NS
+        store.save(directories[0], cerif_ns=ns)
+        assert_saved(store, directories[0], ns, tmp_path / f"fresh{n}")
+        if action == "reload":
+            store = Store.load(directories[0], cerif_ns=ns)
+
+
+def recorded_writes(monkeypatch) -> list[str]:
+    """Names of the files each later save writes, in order."""
+    written = []
+    write_text, write_atomic = Path.write_text, store_module.write_atomic
+
+    def recording_write_text(path, *args, **kwargs):
+        written.append(path.name)
+        return write_text(path, *args, **kwargs)
+
+    def recording_write_atomic(path, text):
+        written.append(path.name)
+        write_atomic(path, text)
+
+    monkeypatch.setattr(Path, "write_text", recording_write_text)
+    monkeypatch.setattr(store_module, "write_atomic", recording_write_atomic)
+    return written
+
+
+def test_save_writes_only_the_records_that_changed(tmp_path, monkeypatch):
+    built_store().save(tmp_path)
+    store = Store.load(tmp_path)
+    store.merge(one_person("Changed"), prov("tuwien", D(2001, 6, 7)))
+    # equal content, fetched later: only the provenance index changes
+    same = RecordSet()
+    same.add(OrgUnit(id="TUWIEN",
+                     names=(TranslatedText("de", TranslationType.ORIGINAL, "TU Wien"),)))
+    store.merge(same, prov("tuwien", D(2001, 6, 8)))
+    written = recorded_writes(monkeypatch)
+    store.save(tmp_path)
+    assert written == ["person.273.rdf", INDEX_FILE]
+    assert Store.load(tmp_path).current == store.current
+
+    written.clear()
+    store.save(tmp_path)
+    assert written == [INDEX_FILE]
+
+    # a relation already held changes nothing; a new one rewrites the relation file
+    grown = RecordSet()
+    grown.extend_relations([*store.relations,
+                            Relation(RecordKey("person", "273"),
+                                     RecordKey("orgunit", "TUWIEN"), role="member")])
+    store.merge(grown, prov("tuwien", D(2001, 6, 8)))
+    written.clear()
+    store.save(tmp_path)
+    assert written == [RELATIONS_FILE, INDEX_FILE]
+
+    written.clear()
+    store.save(tmp_path, cerif_ns=OTHER_NS)
+    assert written == ["orgunit.TUWIEN.rdf", "person.273.rdf", RELATIONS_FILE, INDEX_FILE]
+
+
+def test_save_moves_records_out_of_a_shared_file(tmp_path):
+    store = built_store()
+    store.save(tmp_path / "index_only")
+    rs = RecordSet()
+    rs.records.update((key, record) for key, (record, _) in store.current.items())
+    rs.relations = list(store.relations)
+    home = tmp_path / "home"
+    home.mkdir()
+    (home / "all.rdf").write_text(serialize_document(rs), "utf-8")
+    (home / INDEX_FILE).write_bytes((tmp_path / "index_only" / INDEX_FILE).read_bytes())
+    loaded = Store.load(home)
+    loaded.save(home)
+    assert files_in(home) == full_save(store, tmp_path / "fresh")
+
+
+def test_a_save_that_fails_part_way_loses_nothing(tmp_path, monkeypatch):
+    """A file write, removal or index swap raises at step k; a clean save
+    into the loaded directory and into another one still writes exactly
+    what a full save does."""
+    base = built_store()
+    person = RecordKey("person", "273")
+    changes = RecordSet()
+    changes.add(Person(id="273", family_names="Changed"))
+    changes.add(OrgUnit(id="TUWIEN",
+                        names=(TranslatedText("de", TranslationType.ORIGINAL, "TU Wien"),)))
+    changes.add(Person(id="274", family_names="New"))
+    changes.add_relation(Relation(person, RecordKey("orgunit", "TUWIEN"), role="member"))
+    empty = RecordSet()
+
+    def faulty(real):
+        def step(*args, **kwargs):
+            if next(steps) == k:
+                raise OSError(f"injected fault at step {k}")
+            return real(*args, **kwargs)
+        return step
+
+    for k in itertools.count():
+        failed = False
+        for fails_in in ("home", "away"):
+            home, away = tmp_path / f"{k}{fails_in}home", tmp_path / f"{k}{fails_in}away"
+            base.save(home)
+            (home / "zz.rdf").write_text(serialize_document(empty), "utf-8")
+            store = Store.load(home)
+            store.merge(changes, prov("tuwien", D(2001, 6, 7)))
+            steps = itertools.count()
+            with monkeypatch.context() as patch:
+                for owner, name in ((Path, "write_text"), (Path, "unlink"),
+                                    (store_module, "write_atomic")):
+                    patch.setattr(owner, name, faulty(getattr(owner, name)))
+                try:
+                    store.save(home if fails_in == "home" else away)
+                except OSError:
+                    failed = True
+            for n, directory in enumerate((home, away)):
+                store.save(directory)
+                assert files_in(directory) == full_save(
+                    store, tmp_path / f"{k}{fails_in}fresh{n}"), (k, fails_in)
+        if not failed:
+            break
+    assert k >= 5  # every step of the save was made to fail once
