@@ -46,7 +46,6 @@ class ExchangeName:
     date: PartialDate
     record_type: str | None = None
     identifier: str | None = None
-    extension: str | None = None
 
 
 def _check_org(org: str) -> None:
@@ -71,9 +70,8 @@ def format_name(name: ExchangeName) -> str:
     """Render *name* in its canonical spelling.
 
     Snapshot and per-object names carry no extension; annual and change names
-    end in .rdf.  The stored extension field does not override that rule.
-    An identifier that parse_name would not read back as itself raises
-    InvariantViolation.
+    end in .rdf.  An identifier that parse_name would not read back as
+    itself raises InvariantViolation.
     """
     _check_org(name.organization)
     if name.kind in (ExchangeKind.ALL, ExchangeKind.PER_OBJECT, ExchangeKind.CHANGE):
@@ -119,15 +117,13 @@ def _full_date(segments: list[str], name: str) -> PartialDate:
 def parse_name(text: str) -> ExchangeName:
     """Parse a file name in any of the four families.
 
-    A trailing .rdf is accepted on every family; whitespace around segments
-    is tolerated and stripped.
+    A trailing .rdf is accepted on every family and dropped; whitespace
+    around segments is tolerated and stripped.
     """
     segments = [s.strip() for s in text.strip().split(".")]
     if any(not s for s in segments):
         raise UnrecognizedName(f"{text!r}: empty name segment")
-    extension = None
     if len(segments) > 1 and segments[-1].lower() == "rdf":
-        extension = ".rdf"
         segments = segments[:-1]
 
     if segments and segments[0].upper() == "ANNUAL":
@@ -136,8 +132,7 @@ def parse_name(text: str) -> ExchangeName:
         org, year = segments[1], segments[2]
         if not (year.isdecimal() and len(year) == 4):
             raise UnrecognizedName(f"{text!r}: {year!r} is not a four-digit year")
-        return ExchangeName(ExchangeKind.ANNUAL, org, PartialDate(int(year)),
-                            extension=extension)
+        return ExchangeName(ExchangeKind.ANNUAL, org, PartialDate(int(year)))
 
     if segments and segments[0].upper() == "CHANGE":
         if len(segments) < 7:
@@ -149,8 +144,7 @@ def parse_name(text: str) -> ExchangeName:
             raise UnrecognizedName(f"{text!r}: unknown record type {segments[2]!r}")
         date = _full_date(segments[-3:], text)
         identifier = ".".join(segments[3:-3])
-        return ExchangeName(ExchangeKind.CHANGE, org, date, rtype, identifier,
-                            extension=extension)
+        return ExchangeName(ExchangeKind.CHANGE, org, date, rtype, identifier)
 
     if len(segments) < 5:
         raise UnrecognizedName(f"{text!r}: too few segments, date not full")
@@ -158,15 +152,14 @@ def parse_name(text: str) -> ExchangeName:
     date = _full_date(segments[1:4], text)
     tail = segments[4:]
     if len(tail) == 1 and tail[0].upper() == "ALL":
-        return ExchangeName(ExchangeKind.ALL, org, date, extension=extension)
+        return ExchangeName(ExchangeKind.ALL, org, date)
     rtype = tail[0].lower()
     if rtype not in RECORD_TYPES:
         raise UnrecognizedName(f"{text!r}: unknown record type {tail[0]!r}")
     if len(tail) < 2:
         raise UnrecognizedName(f"{text!r}: missing object identifier")
     identifier = ".".join(tail[1:])
-    return ExchangeName(ExchangeKind.PER_OBJECT, org, date, rtype, identifier,
-                        extension=extension)
+    return ExchangeName(ExchangeKind.PER_OBJECT, org, date, rtype, identifier)
 
 
 def plan_session(rs: RecordSet, organization: str, date: PartialDate,
@@ -209,24 +202,6 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
         seen_names.add(rendered)
         out.append((name, sub))
     return out
-
-
-def merge_session(files: list[tuple[ExchangeName, RecordSet]]) -> RecordSet:
-    """Reassemble session files into one set, deduplicating relations."""
-    merged = RecordSet()
-    for _, sub in files:
-        for key, record in sub.records.items():
-            if key in merged.records:
-                if merged.records[key] != record:
-                    raise DuplicateObject(
-                        f"conflicting copies of {key.kind} {key.id} in session")
-                continue
-            merged.records[key] = record
-    merged.extend_relations(rel for _, sub in files for rel in sub.relations)
-    nested = {rel for record in merged.records.values()
-              for rel in nested_relations(record)}
-    merged.relations = [rel for rel in merged.relations if rel not in nested]
-    return merged
 
 
 class IdRegistry:

@@ -16,14 +16,7 @@ import html
 from dataclasses import dataclass, field
 
 from .errors import CerifError
-from .model import (
-    Record,
-    RecordKey,
-    format_partial_date,
-    join_semicolon_list,
-    present_fields,
-    status_token,
-)
+from .model import SCALAR_TEXT, Record, RecordKey, present_fields
 from .rdfxml import CERIF_NS, RecordSet, _scan_tag_end, parse_document, serialize_document
 
 EMBED_MARKER = "<!--CERIF-RDF"
@@ -121,11 +114,7 @@ def _row_ou_relation(label: str, rel) -> tuple[str, str]:
 # shape -> row renderer: a scalar shape formats its value as the row text, a
 # bag shape renders one row per item.
 _ROWS = {
-    "status": status_token,
-    "date": format_partial_date,
-    "text": str,
-    "sex": str,
-    "list": join_semicolon_list,
+    **SCALAR_TEXT,
     "translated": _row_translated,
     "relations": _row_relation,
     "skills": _row_skill,

@@ -169,15 +169,16 @@ def format_partial_date(d: PartialDate) -> str:
     return f"{d.year:04d}"
 
 
-def default_status(end: PartialDate | None, export_date: PartialDate) -> ProjectStatus:
-    """Status to assume for a converted project whose source carries none.
-
-    A project whose end date is certainly over by the export date is reported
-    as Completed; anything still possibly running is reported as Execution.
-    """
-    if end is not None and end.certainly_before(export_date):
-        return ProjectStatus.COMPLETED
-    return ProjectStatus.EXECUTION
+#: Text form of a present value of each scalar shape: its element text on
+#: the wire, its row text on a page and the object of its store triple (a
+#: list gives one triple per item instead).
+SCALAR_TEXT = {
+    "status": status_token,
+    "date": format_partial_date,
+    "text": str,
+    "sex": str,
+    "list": join_semicolon_list,
+}
 
 
 class RecordKey(NamedTuple):
@@ -369,7 +370,7 @@ class Field(NamedTuple):
 
     attr names the dataclass attribute and element its canonical wire
     element.  shape is the value form every layer dispatches on: scalar
-    shapes (status, date, text, sex, list) are one literal element, bag
+    shapes (the keys of SCALAR_TEXT) are one literal element, bag
     shapes hold one rdf:Bag item per value, and parts names the item element
     followed by the elements inside it.  label is the HTML row label and
     mandatory marks a field whose absence breaks the record.  predicate

@@ -33,18 +33,16 @@ from .model import (
     RECORD_CLASSES,
     RECORD_FIELDS,
     RECORD_TYPES,
+    SCALAR_TEXT,
     SEX_CODES,
     STATUS_BY_TOKEN,
     TranslatedText,
     collapse_ws,
-    format_partial_date,
-    join_semicolon_list,
     nested_relations,
     normalize_translation_code,
     parse_partial_date,
     present_fields,
     split_semicolon_list,
-    status_token,
 )
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -466,25 +464,34 @@ def _write_ou_relation(w: _Writer, depth: int, parts, rel: OuOuRelation) -> None
     w.literal(depth, role, rel.role)
 
 
-# shape -> (reader, writer).  A scalar shape reads element text and formats
-# its value as element text; a bag shape reads and writes one item.
-_SHAPES = {
-    "status": (_read_status, status_token),
-    "date": (_read_date, format_partial_date),
-    "text": (_read_text, str),
-    "sex": (_read_sex, str),
-    "list": (_read_list, join_semicolon_list),
-    "translated": (_parse_translated, _write_translated),
-    "relations": (_parse_relation, _write_relation),
-    "skills": (_parse_skill, _write_skill),
-    "contacts": (_parse_contact, _write_contact),
-    "ou_relations": (_parse_ou_relation, _write_ou_relation),
+# shape -> reader.  A scalar shape reads element text; a bag shape one item.
+_READERS = {
+    "status": _read_status,
+    "date": _read_date,
+    "text": _read_text,
+    "sex": _read_sex,
+    "list": _read_list,
+    "translated": _parse_translated,
+    "relations": _parse_relation,
+    "skills": _parse_skill,
+    "contacts": _parse_contact,
+    "ou_relations": _parse_ou_relation,
+}
+
+# shape -> writer.  A scalar shape gives element text; a bag shape one item.
+_WRITERS = {
+    **SCALAR_TEXT,
+    "translated": _write_translated,
+    "relations": _write_relation,
+    "skills": _write_skill,
+    "contacts": _write_contact,
+    "ou_relations": _write_ou_relation,
 }
 
 # record class -> canonical element -> (field spec, reader, the container's
 # last word, which names the bag in warnings)
 _ELEMENTS = {
-    cls: {spec.element: (spec, _SHAPES[spec.shape][0],
+    cls: {spec.element: (spec, _READERS[spec.shape],
                          re.split(r"[._-]", spec.element)[-1])
           for spec in table}
     for cls, table in RECORD_FIELDS.items()
@@ -613,7 +620,7 @@ def _write_bag(w: _Writer, depth: int, container: str, parts, items,
 def _write_record(w: _Writer, record: Record) -> None:
     w.line(1, f"<cerif:{record.kind} ID={quoteattr(record.id)}>")
     for spec, value in present_fields(record):
-        write = _SHAPES[spec.shape][1]
+        write = _WRITERS[spec.shape]
         if spec.parts:
             _write_bag(w, 2, spec.element, spec.parts, value, write)
         else:

@@ -160,10 +160,11 @@ def _stub(ident: str, de_name: str | None, en_name: str | None,
 def map_record(lr: LegacyRecord, export_date: PartialDate) -> ConvertedRecord:
     """Convert one legacy record to an org-unit with its surrounding records.
 
-    export_date is the date of the session the output is written for; it is
-    threaded to converter defaulting rules that depend on it.  Values with no
-    CERIF home (address lines, fax, provenance tags) are reported in warnings
-    rather than dropped silently.
+    export_date is the date of the session the output is written for.  No
+    mapping rule reads it: the tag set carries no project, so there is no
+    status to default from it.  Values with no CERIF home (address lines,
+    fax, provenance tags) are reported in warnings rather than dropped
+    silently.
     """
     warnings: list[str] = []
     rcn = lr.first("RCN")

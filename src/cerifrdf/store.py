@@ -48,12 +48,12 @@ from .model import (
     Record,
     RecordKey,
     Relation,
+    SCALAR_TEXT,
     TranslatedText,
     file_safe_id,
     format_partial_date,
     parse_partial_date,
     present_fields,
-    status_token,
 )
 from .rdfxml import CERIF_NS, RecordSet, parse_document, serialize_document
 
@@ -198,10 +198,8 @@ def _relation_triple(rel: Relation) -> Triple:
 # predicate and a present value.  Contacts, org-unit relations and nested
 # relations name their own predicates, and a nested relation its own subject.
 _TRIPLES = {
-    "status": lambda s, p, value: [(s, p, status_token(value))],
-    "date": lambda s, p, value: [(s, p, format_partial_date(value))],
-    "text": lambda s, p, value: [(s, p, value)],
-    "sex": lambda s, p, value: [(s, p, value)],
+    **{shape: lambda s, p, value, text=text: [(s, p, text(value))]
+       for shape, text in SCALAR_TEXT.items()},
     "list": lambda s, p, items: [(s, p, item) for item in items],
     "translated": lambda s, p, items: [(s, p, _tt_object(tt)) for tt in items],
     "skills": lambda s, p, items: [(s, p, _skill_object(sk)) for sk in items],
@@ -408,8 +406,9 @@ class Store:
     def save(self, directory: str | os.PathLike, *, cerif_ns: str = CERIF_NS) -> None:
         """Write one canonical file per current record plus the provenance
         index; stale record files from earlier saves are removed and the
-        index is written last.  An identifier that cannot name a file raises
-        before anything is written.
+        index is written last.  An identifier that cannot name a file, or an
+        org-unit relation without a target in a record the save would write,
+        raises before anything is written.
 
         Saved back to the directory the store was loaded from or last saved
         to, under the same namespace, only the records that merge changed
@@ -426,20 +425,27 @@ class Store:
                     f"{key.kind} {key.id!r}: identifier holds '/', '\\' or a "
                     "control character; store not saved")
         root = Path(directory)
-        root.mkdir(parents=True, exist_ok=True)
         target = (root.resolve(), cerif_ns)
         write_all = target != self._on_disk
+        written = [key for key in keys if write_all or key in self._changed]
+        for key in written:
+            # the reader drops such a relation, so the file would not read
+            # back as the record; a loaded record never holds one
+            if any(not rel.target
+                   for spec, value in present_fields(self._current[key][0])
+                   if spec.shape == "ou_relations" for rel in value):
+                raise InvariantViolation(
+                    f"{key.kind} {key.id!r}: org-unit relation without a target; "
+                    "store not saved")
+        root.mkdir(parents=True, exist_ok=True)
         expected = {RELATIONS_FILE} if self._relations else set()
-        for key in keys:
-            file_name = _record_file(key)
-            expected.add(file_name)
-            if not write_all and key not in self._changed:
-                continue
+        expected.update(map(_record_file, keys))
+        for key in written:
             rs = RecordSet()
             rs.records[key] = self._current[key][0]
             # gathered records may be partial, so persistence skips the
             # mandatory-field check that exchange output enforces
-            (root / file_name).write_text(
+            (root / _record_file(key)).write_text(
                 serialize_document(rs, cerif_ns=cerif_ns, validate=False),
                 "utf-8")
         if self._relations and (write_all or self._relations_changed):

@@ -2,9 +2,9 @@
 
 Discarding is a least fixed point: records that fail their own invariants go
 first, then any record whose mandatory relation points at a discarded record
-follows, repeated until nothing changes.  Dangling references to records that
-were never in the document are warnings, not discards, because documents may
-legitimately point across file boundaries.
+follows, repeated until nothing changes.  A mandatory relation whose target
+was never in the document discards nothing and is not reported, because
+documents may legitimately point across file boundaries.
 
 Which fields each record kind has, and which are mandatory, comes from the
 field table model.RECORD_FIELDS; this module only knows how to check each
@@ -195,37 +195,24 @@ def validate_record(record: Record) -> list[Violation]:
     return out
 
 
-def lint_record(record: Record, language_codes=None) -> list[str]:
+def lint_record(record: Record) -> list[str]:
     """Non-fatal findings: suspicious but admissible content."""
-    notes: list[str] = []
-    if isinstance(record, Project):
-        if (record.start is not None and record.end is not None
-                and record.end.certainly_before(record.start)):
-            notes.append(f"project {record.id}: end date {record.end} lies before "
-                         f"start date {record.start}")
-    if language_codes is not None:
-        for spec in RECORD_FIELDS[type(record)]:
-            if spec.shape != "translated":
-                continue
-            for i, tt in enumerate(getattr(record, spec.attr)):
-                if LANGUAGE_RE.match(tt.language) and tt.language not in language_codes:
-                    notes.append(f"{record.kind} {record.id}: {spec.attr}[{i}] uses "
-                                 f"unassigned language code {tt.language!r}")
-    return notes
+    if (isinstance(record, Project) and record.start is not None
+            and record.end is not None and record.end.certainly_before(record.start)):
+        return [f"project {record.id}: end date {record.end} lies before "
+                f"start date {record.start}"]
+    return []
 
 
-def apply_discard_cascade(rs: RecordSet, *,
-                          missing_targets_discard: bool = False) -> DiscardReport:
+def apply_discard_cascade(rs: RecordSet) -> DiscardReport:
     """Split *rs* into kept and discarded records.
 
     Seeds are records with a non-empty validate_record result.  The cascade
     then discards, wave by wave, every kept record with a mandatory relation
     to a record discarded in the wave before, until a wave is empty.  Such a
     record is discarded because of the target of the first of those
-    relations in Relation.sort_key order.  With missing_targets_discard set,
-    a mandatory relation whose target never was in the set also pulls its
-    source down, in the first wave; by default such targets only matter to
-    lint.
+    relations in Relation.sort_key order.  A mandatory relation whose target
+    never was in the set discards nothing and is not reported.
     """
     reasons: dict[RecordKey, DiscardReason] = {}
     for key in sorted(rs.records):
@@ -241,8 +228,6 @@ def apply_discard_cascade(rs: RecordSet, *,
             by_target.setdefault(rel.target, []).append((rank, rel))
 
     frontier = list(reasons)
-    if missing_targets_discard:
-        frontier += [target for target in by_target if target not in rs.records]
     while frontier:
         # A source still kept can only point at the last wave's records: an
         # edge into an earlier wave would have pulled it down already.

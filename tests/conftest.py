@@ -1,10 +1,20 @@
 """Shared test fixtures: golden sample documents from tests/data."""
 
+import os
 from pathlib import Path
 
 import pytest
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a child process that runs the command line from
+    this checkout, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def read_data(name: str) -> str:

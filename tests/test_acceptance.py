@@ -21,7 +21,6 @@ from cerifrdf.exchange import (
     IdRegistry,
     check_session,
     format_name,
-    merge_session,
     parse_name,
     plan_session,
 )
@@ -156,11 +155,10 @@ def test_criterion_07_names():
             ExchangeName(ExchangeKind.PER_OBJECT, "TUWIEN", D(2001, 6, 6),
                          "project", "E015-01-08"),
         "ANNUAL.TUWIEN.2001.rdf":
-            ExchangeName(ExchangeKind.ANNUAL, "TUWIEN", D(2001),
-                         extension=".rdf"),
+            ExchangeName(ExchangeKind.ANNUAL, "TUWIEN", D(2001)),
         "CHANGE.TUWIEN.PROJECT.AURIS.01.05.2001.rdf":
             ExchangeName(ExchangeKind.CHANGE, "TUWIEN", D(2001, 5, 1),
-                         "project", "AURIS", extension=".rdf"),
+                         "project", "AURIS"),
     }
     for text, expected in attested.items():
         assert parse_name(text) == expected
@@ -244,12 +242,19 @@ def test_criterion_10_sessions(tmp_path):
 
     files = plan_session(rs, "TUWIEN", D(2001, 6, 6), ExchangeKind.PER_OBJECT)
     assert len(files) == 2
+    gathered = Store()
     for name, sub in files:
         assert relation in sub.all_relations()
         text = serialize_document(sub)
         reread, warnings = parse_document(text)
         assert warnings == [] and reread == sub
-    assert merge_session(files) == rs
+        gathered.merge(reread, Provenance(format_name(name), name.date,
+                                          SourceKind.PER_OBJECT))
+    # the files merged one by one, as gather does, give back the source
+    assert {key: record for key, (record, _) in gathered.current.items()} == rs.records
+    whole = Store()
+    whole.merge(rs, Provenance("TUWIEN.06.06.2001.ALL", D(2001, 6, 6), SourceKind.ALL))
+    assert gathered.to_triples() == whole.to_triples()
 
     registry = IdRegistry(tmp_path / "registry.tsv")
     first = check_session(files, registry)

@@ -5,14 +5,13 @@ main() would show as a traceback with exit status 1, the status that means
 "findings".
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import cli_env
 
 DOCUMENT = """<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"
     xmlns:cerif="http://derpi.tuwien.ac.at/~andrei/cerif-rdf#">
@@ -119,10 +118,8 @@ def _registry_not_utf8(tmp_path):
     _registry_not_utf8,
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, make_args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "cerifrdf.cli", *make_args(tmp_path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())

@@ -18,7 +18,7 @@ from cerifrdf.model import (
 )
 from cerifrdf.rdfxml import RecordSet, parse_document, serialize_document
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, cli_env
 
 
 def write_doc(path, rs, ns=None):
@@ -127,6 +127,23 @@ def test_convert_sgml_writes_exchange_files(tmp_path, capsys):
         (out / "TUWIEN.06.06.2001.ORGUNIT.E015-01").read_text("utf-8"))
     assert warnings == []
     assert sorted(rs.records) == [RecordKey("orgunit", "E015-01")]
+
+
+def test_convert_sgml_skips_a_record_without_an_rcn(tmp_path, capsys):
+    sgml = tmp_path / "export.sgml"
+    sgml.write_text("<RECORD>\n<RCN>7\n<DEG>Institut\n</RECORD>\n"
+                    "<RECORD>\n<DEG>Ohne Kennung\n</RECORD>\n"
+                    "<RECORD>\n<RCN>8\n<DEG>Labor\n</RECORD>\n", "utf-8")
+    out = tmp_path / "converted"
+    code = main(["convert-sgml", str(sgml), "--org", "TUWIEN", "--date", "06.06.2001",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("warning: record 2 skipped: legacy record without an "
+                            "RCN identifier\n")
+    written = ["TUWIEN.06.06.2001.ORGUNIT.7", "TUWIEN.06.06.2001.ORGUNIT.8"]
+    assert captured.out.splitlines() == written
+    assert sorted(p.name for p in out.iterdir()) == written
 
 
 def test_convert_sgml_rejects_partial_date(tmp_path, capsys):
@@ -472,7 +489,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cerifrdf.cli", "validate",
          str(DATA_DIR / "person_273.rdf")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 0
     assert "warning:" in proc.stderr
 

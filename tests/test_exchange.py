@@ -5,7 +5,6 @@ import random
 import pytest
 
 from cerifrdf.errors import (
-    DuplicateObject,
     FormatError,
     InvariantViolation,
     UnrecognizedName,
@@ -16,7 +15,6 @@ from cerifrdf.exchange import (
     IdRegistry,
     check_session,
     format_name,
-    merge_session,
     parse_name,
     plan_session,
 )
@@ -248,34 +246,6 @@ def test_plan_per_object_duplicates_relations():
     assert person_file.relations == [rel]
     assert rel in project_file.all_relations()
     assert rel in person_file.all_relations()
-
-
-def test_merge_session_restores_source():
-    rs = sample_set()
-    files = plan_session(rs, "TUWIEN", D(2001, 6, 6), ExchangeKind.PER_OBJECT)
-    assert merge_session(files) == rs
-
-
-def test_merge_session_rejects_conflicting_copies():
-    name = ExchangeName(ExchangeKind.PER_OBJECT, "TUWIEN", D(2001, 6, 6),
-                        "person", "273")
-    a = RecordSet()
-    a.add(Person(id="273", family_names="Niedermayer"))
-    b = RecordSet()
-    b.add(Person(id="273", family_names="Andersname"))
-    with pytest.raises(DuplicateObject):
-        merge_session([(name, a), (name, b)])
-
-
-def test_merge_session_tolerates_identical_copies():
-    name = ExchangeName(ExchangeKind.PER_OBJECT, "TUWIEN", D(2001, 6, 6),
-                        "person", "273")
-    a = RecordSet()
-    a.add(Person(id="273", family_names="Niedermayer"))
-    b = RecordSet()
-    b.add(Person(id="273", family_names="Niedermayer"))
-    merged = merge_session([(name, a), (name, b)])
-    assert sorted(merged.records) == [RecordKey("person", "273")]
 
 
 def test_plan_session_needs_full_date():

@@ -50,7 +50,7 @@ def reference_all_relations(rs) -> list:
     return seen
 
 
-def reference_cascade_lines(rs, missing_targets_discard: bool) -> list[str]:
+def reference_cascade_lines(rs) -> list[str]:
     reasons = {}
     for key in sorted(rs.records):
         problems = validate_record(rs.records[key])
@@ -64,9 +64,7 @@ def reference_cascade_lines(rs, missing_targets_discard: bool) -> list[str]:
         for rel in relations:
             if not rel.mandatory:
                 continue
-            target_down = (rel.target in reasons
-                           or (missing_targets_discard and rel.target not in rs.records))
-            if (target_down and rel.source in rs.records
+            if (rel.target in reasons and rel.source in rs.records
                     and rel.source not in reasons and rel.source not in wave):
                 wave[rel.source] = CascadeFrom(rel.target)
         if wave:
@@ -177,10 +175,9 @@ def drifted_registry(rng: random.Random, rs: RecordSet) -> IdRegistry:
 def test_cascade_reasons_match_wave_loop():
     cascades = 0
     for seed, rs in seeded_sets():
-        for flag in (False, True):
-            report = apply_discard_cascade(rs, missing_targets_discard=flag)
-            assert report.to_lines() == reference_cascade_lines(rs, flag), (seed, flag)
-            cascades += sum(isinstance(r, CascadeFrom) for _, r in report.discarded)
+        report = apply_discard_cascade(rs)
+        assert report.to_lines() == reference_cascade_lines(rs), seed
+        cascades += sum(isinstance(r, CascadeFrom) for _, r in report.discarded)
     assert cascades > 100
 
 

@@ -18,7 +18,6 @@ from cerifrdf.model import (
     Relation,
     TranslationType,
     collapse_ws,
-    default_status,
     file_safe_id,
     format_partial_date,
     join_semicolon_list,
@@ -125,15 +124,6 @@ def test_earliest_latest():
     assert d.earliest() == (2000, 6, 1)
     # the upper bound is deliberately coarse; 31 is safe for every month
     assert d.latest() == (2000, 6, 31)
-
-
-def test_default_status():
-    export = parse_partial_date("06.06.2001")
-    assert default_status(parse_partial_date("12.2000"), export) \
-        is ProjectStatus.COMPLETED
-    assert default_status(parse_partial_date("12.2001"), export) \
-        is ProjectStatus.EXECUTION
-    assert default_status(None, export) is ProjectStatus.EXECUTION
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,15 @@ from dataclasses import fields
 import pytest
 
 from cerifrdf import htmlbridge, rdfxml, store, validation
-from cerifrdf.model import RECORD_CLASSES, RECORD_FIELDS, RecordKey, present_fields
+from cerifrdf.model import (
+    RECORD_CLASSES,
+    RECORD_FIELDS,
+    SCALAR_TEXT,
+    PartialDate,
+    ProjectStatus,
+    RecordKey,
+    present_fields,
+)
 from cerifrdf.rdfxml import resolve_alias
 
 
@@ -21,10 +29,13 @@ def test_specs_follow_dataclass_fields(kind):
 def test_every_used_shape_has_reader_writer_and_row():
     used = {spec.shape for table in RECORD_FIELDS.values() for spec in table}
     for shape in used:
-        reader, writer = rdfxml._SHAPES[shape]
-        assert callable(reader) and callable(writer), shape
+        assert callable(rdfxml._READERS[shape]), shape
+        assert callable(rdfxml._WRITERS[shape]), shape
         assert callable(htmlbridge._ROWS[shape]), shape
         assert shape in validation._SHAPES, shape
+    # a scalar value has one text form, on the wire and on a page
+    for shape, text in SCALAR_TEXT.items():
+        assert rdfxml._WRITERS[shape] is htmlbridge._ROWS[shape] is text, shape
 
 
 @pytest.mark.parametrize("kind", sorted(RECORD_CLASSES))
@@ -37,14 +48,20 @@ def test_spec_elements_are_canonical(kind):
 def test_bag_shapes_and_only_they_name_parts():
     for table in RECORD_FIELDS.values():
         for spec in table:
-            assert bool(spec.parts) == (spec.shape not in
-                                        ("status", "date", "text", "sex", "list"))
+            assert bool(spec.parts) == (spec.shape not in SCALAR_TEXT)
 
 
 def test_every_used_shape_has_a_triple_maker():
     used = {spec.shape for table in RECORD_FIELDS.values() for spec in table}
     for shape in used:
         assert callable(store._TRIPLES[shape]), shape
+    # a single-valued scalar's triple object is its text form
+    samples = {"status": ProjectStatus.EXECUTION, "date": PartialDate(2001, 6),
+               "text": "x", "sex": "F"}
+    assert set(samples) == set(SCALAR_TEXT) - {"list"}
+    for shape, value in samples.items():
+        assert store._TRIPLES[shape]("s", "p", value) == [
+            ("s", "p", SCALAR_TEXT[shape](value))], shape
 
 
 def test_predicate_is_set_exactly_where_the_field_names_its_triples():
