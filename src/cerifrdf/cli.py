@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import (CerifError, DuplicateObject, FormatError, InvariantViolation,
-                     UnrecognizedName)
+                     UnrecognizedName, located)
 from .exchange import (
     ExchangeKind,
     IdRegistry,
@@ -67,8 +67,9 @@ def cmd_validate(args) -> int:
     ns = _cerif_ns()
     findings = False
     for path in args.paths:
-        rs, warnings, duplicates = parse_with_duplicates(Path(path).read_bytes(),
-                                                         cerif_ns=ns)
+        with located(path):
+            rs, warnings, duplicates = parse_with_duplicates(Path(path).read_bytes(),
+                                                             cerif_ns=ns)
         _warn(f"{path}: {w}" for w in warnings)
         for violation in duplicate_violations(duplicates):
             print(f"VIOLATION document - {violation.message}")
@@ -208,13 +209,14 @@ def cmd_gather(args) -> int:
             date = _session_date(args.date)
             result = extract_rdf(data, page_uri=raw, cerif_ns=ns)
             _warn(f"{raw}: {w}" for w in result.warnings)
-            for index, (rs, offset) in enumerate(result.documents):
+            for rs, offset in result.documents:
                 prov = Provenance(f"{path.name}#{offset}", date, SourceKind.EXTRACTED)
                 _warn(store.merge(rs, prov))
                 print(f"MERGED {prov.source} {len(rs.records)}")
         else:
             date, kind = _provenance_for(path, args.date)
-            rs, warnings = parse_document(data, cerif_ns=ns)
+            with located(raw):
+                rs, warnings = parse_document(data, cerif_ns=ns)
             _warn(f"{raw}: {w}" for w in warnings)
             prov = Provenance(path.name, date, kind)
             _warn(store.merge(rs, prov))

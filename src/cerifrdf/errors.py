@@ -1,5 +1,7 @@
 """Exception types shared by every layer of the toolkit."""
 
+from contextlib import contextmanager
+
 
 class CerifError(Exception):
     """Base class for all toolkit errors."""
@@ -47,3 +49,12 @@ class UnrecognizedName(CerifError):
 
 class DuplicateObject(CerifError):
     """Two objects in one session would be written to the same file name."""
+
+
+@contextmanager
+def located(where: str):
+    """Lead the message of a CerifError raised in the block with *where*."""
+    try:
+        yield
+    except CerifError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

@@ -204,6 +204,12 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
     return out
 
 
+def _registry_row(org: str, rtype: str, ident: str, date_text: str):
+    if rtype not in RECORD_TYPES:
+        raise FormatError(f"unknown record type {rtype!r}")
+    return (org, rtype, ident), parse_partial_date(date_text)
+
+
 class IdRegistry:
     """Append-only memory of every (org, type, id) ever sent, with the date
     it was first seen.  The backing file is one tab-separated line per entry,
@@ -218,11 +224,7 @@ class IdRegistry:
         registry = cls(path)
         if not registry.path.exists():
             return registry
-        for lineno, (org, rtype, ident, date_text) in read_rows(registry.path, 4):
-            if rtype not in RECORD_TYPES:
-                raise FormatError(f"{registry.path}:{lineno}: unknown record type "
-                                  f"{rtype!r}")
-            registry.entries[(org, rtype, ident)] = parse_partial_date(date_text)
+        registry.entries.update(read_rows(registry.path, 4, _registry_row))
         return registry
 
     def register(self, org: str, rtype: str, ident: str, date: PartialDate) -> bool:

@@ -175,7 +175,7 @@ def _inject_namespaces(text: str, cerif_ns: str) -> tuple[str, list[str]]:
                if f"xmlns:{p}" not in head]
     if not missing:
         raise XmlError("undeclared namespace prefix not repairable from the root tag")
-    insertion = "".join(f' xmlns:{p}="{u}"' for p, u in missing)
+    insertion = "".join(f" xmlns:{p}={quoteattr(u)}" for p, u in missing)
     cut = head.rindex("/>") if head.rstrip().endswith("/>") else head.rindex(">")
     repaired = head[:cut] + insertion + head[cut:]
     warnings = [f"assumed namespace {u} for undeclared prefix {p}:" for p, u in missing]
@@ -656,7 +656,7 @@ def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
     w = _Writer()
     w.lines.append(f'<rdf:RDF xmlns:rdf="{RDF_NS}"')
     w.lines.append(f'    xmlns:rdfs="{RDFS_NS}"')
-    w.lines.append(f'    xmlns:cerif="{cerif_ns}">')
+    w.lines.append(f"    xmlns:cerif={quoteattr(cerif_ns)}>")
     for key in sorted(rs.records):
         _write_record(w, rs.records[key])
     if rs.relations:

@@ -1,11 +1,11 @@
 """A desk-scale store for gathered records, with provenance and triple queries.
 
-Merging keeps at most one current version per (type, id): the version with
-the latest fetched date wins, same-day conflicts fall to the
-lexicographically greatest source, and every superseded version stays on an
-in-memory history list.  The current map therefore does not depend on the
-order files arrive in.  Queries flatten the store to subject-predicate-object
-triples and match patterns through optional equivalence classes of terms.
+Merging keeps one version per (type, id) and drops the other: the version
+with the latest fetched date wins and same-day conflicts fall to the
+lexicographically greatest source, so the current map does not depend on
+the order files arrive in, and a store holds nothing its saved directory
+does not.  Queries flatten the store to subject-predicate-object triples and
+match patterns through optional equivalence classes of terms.
 
 The triple view walks the field table model.RECORD_FIELDS, as the reader and
 the writer do; this module only knows how to turn each value shape into
@@ -42,7 +42,7 @@ from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import EncodingError, FormatError, InvariantViolation
+from .errors import CerifError, EncodingError, FormatError, InvariantViolation, located
 from .model import (
     PartialDate,
     Record,
@@ -71,16 +71,20 @@ def read_utf8(path: Path) -> str:
         raise EncodingError(f"{path}: not UTF-8: {exc}") from None
 
 
-def read_rows(path: Path, width: int):
-    """(line number, fields) for each non-blank line of a tab-separated
-    UTF-8 file; a line without exactly *width* fields raises FormatError."""
+def read_rows(path: Path, width: int, read_row):
+    """read_row(*fields) for each non-blank line of a tab-separated UTF-8
+    file.  A line without exactly *width* fields raises FormatError, and
+    either that or a CerifError from read_row names the file and line."""
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != width:
-            raise FormatError(f"{path}:{lineno}: expected {width} tab-separated fields")
-        yield lineno, fields
+        try:
+            if len(fields) != width:
+                raise FormatError(f"expected {width} tab-separated fields")
+            yield read_row(*fields)
+        except CerifError as exc:  # as errors.located does, without its per-line cost
+            raise type(exc)(f"{path}:{lineno}: {exc}") from None
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -114,6 +118,10 @@ class Provenance:
     def __post_init__(self) -> None:
         if not self.source:
             raise InvariantViolation("provenance without a source")
+        # load reads the index with str.splitlines and splits each line at tabs
+        if "\t" in self.source or self.source.splitlines() != [self.source]:
+            raise InvariantViolation(f"provenance source {self.source!r} holds a "
+                                     "tab or a line break")
         if not self.fetched.is_full:
             raise InvariantViolation("provenance date must be a full date")
 
@@ -289,14 +297,21 @@ class _TripleView:
                 and (object_terms is None or _endpoint_match(triple[2], object_terms))}
 
 
+def _index_row(subject: str, source: str, date_text: str, kind_text: str):
+    try:
+        kind = SourceKind(kind_text)
+    except ValueError:
+        raise FormatError(f"unknown source kind {kind_text!r}") from None
+    return subject, Provenance(source, parse_partial_date(date_text), kind)
+
+
 class Store:
-    """Gathered records: the current version of each, its provenance and the
-    superseded versions, plus the document-level relations.  current and
-    relations are read-only to callers; merge and load are the only ways in."""
+    """Gathered records: the current version of each and its provenance,
+    plus the document-level relations.  current and relations are read-only
+    to callers; merge and load are the only ways in."""
 
     def __init__(self) -> None:
         self._current: dict[RecordKey, tuple[Record, Provenance]] = {}
-        self.history: list[tuple[RecordKey, Record, Provenance]] = []
         self._relations: set[Relation] = set()
         # built by the first query after a load or a merge; see _triple_view
         self._view: _TripleView | None = None
@@ -323,9 +338,10 @@ class Store:
         The version with the latest fetched date wins, then the greatest
         source, then the greatest repr(record), which is deterministic for
         these frozen dataclasses and breaks the pathological tie of equal
-        date and equal source.  A key is marked for the next save when it is
-        new or its winning record differs from the one it replaces; a newer
-        fetch of equal content changes only the provenance index.
+        date and equal source; the other version is dropped.  A key is
+        marked for the next save when it is new or its winning record
+        differs from the one it replaces; a newer fetch of equal content
+        changes only the provenance index.
         """
         self._view = None
         warnings: list[str] = []
@@ -344,26 +360,14 @@ class Store:
                                 f"{held_prov.source} and {prov.source}, "
                                 "greatest source wins")
             rank, held_rank = (fetched, prov.source), (held_fetched, held_prov.source)
-            if rank > held_rank or (rank == held_rank
-                                    and repr(record) > repr(held_record)):
+            if rank > held_rank or (rank == held_rank and repr(record) > repr(held_record)):
                 self._current[key] = (record, prov)
-                self.history.append((key, held_record, held_prov))
                 if record != held_record:
                     self._changed.add(key)
-            else:
-                self.history.append((key, record, prov))
         size = len(self._relations)
         self._relations.update(rs.relations)
         self._relations_changed |= len(self._relations) > size
         return warnings
-
-    def versions_of(self, key: RecordKey) -> list[tuple[Record, Provenance]]:
-        """Current version first, then every superseded one in arrival order."""
-        out = []
-        if key in self._current:
-            out.append(self._current[key])
-        out.extend((record, prov) for k, record, prov in self.history if k == key)
-        return out
 
     def _triple_view(self) -> _TripleView:
         """The indexed view of the current triples, built on first use."""
@@ -470,9 +474,8 @@ class Store:
     @classmethod
     def load(cls, directory: str | os.PathLike, *,
              cerif_ns: str = CERIF_NS) -> "Store":
-        """Rebuild the current map from a saved directory.
+        """Rebuild a saved store: its current map, provenance and relations.
 
-        History is not persisted; a reloaded store starts with an empty one.
         A directory without a provenance index gives an empty store.  A key
         that two record files hold, a record the index does not list and an
         indexed key that no record file holds raise FormatError.
@@ -488,17 +491,11 @@ class Store:
         index_path = root / INDEX_FILE
         if not index_path.exists():
             return store
-        provenance: dict[str, Provenance] = {}
-        for lineno, (subject, source, date_text, kind_text) in read_rows(index_path, 4):
-            try:
-                kind = SourceKind(kind_text)
-            except ValueError:
-                raise FormatError(f"{index_path}:{lineno}: unknown source kind "
-                                  f"{kind_text!r}") from None
-            provenance[subject] = Provenance(source, parse_partial_date(date_text), kind)
+        provenance = dict(read_rows(index_path, 4, _index_row))
         held_in: dict[RecordKey, str] = {}
         for path in sorted(root.glob("*.rdf")):
-            rs, warnings = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
+            with located(path.name):
+                rs, warnings = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
             if warnings:
                 own_file = False
             elif rs.records:

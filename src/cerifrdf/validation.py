@@ -79,94 +79,75 @@ class DiscardReport:
                 for key, reason in self.discarded]
 
 
-# Checks of a present value (one that differs from the field's default) take
-# the field's attribute name, the value and the output list.
+# Checks take a present scalar value or one item of a present bag and yield
+# a message per breach; validate_record names the item.
 
-def _check_status(prefix: str, status, out: list[Violation]) -> None:
+def _status_faults(status):
     if not isinstance(status, ProjectStatus):
-        out.append(Violation(prefix, "invalid",
-                             f"status token {status!r} not one of the "
-                             "four accepted values"))
+        yield f"status token {status!r} not one of the four accepted values"
 
 
-def _check_sex(prefix: str, sex, out: list[Violation]) -> None:
+def _sex_faults(sex):
     if sex not in SEX_CODES:
-        out.append(Violation(prefix, "invalid",
-                             f"sex code {sex!r} is neither M nor F"))
+        yield f"sex code {sex!r} is neither M nor F"
 
 
-def _check_translated(prefix: str, items: tuple[TranslatedText, ...],
-                      out: list[Violation]) -> None:
-    for i, tt in enumerate(items):
-        where = f"{prefix}[{i}]"
-        if not LANGUAGE_RE.match(tt.language):
-            out.append(Violation(prefix, "invalid",
-                                 f"{where}: language {tt.language!r} is not a "
-                                 "two-letter lowercase code"))
-        if tt.translation is None:
-            out.append(Violation(prefix, "invalid",
-                                 f"{where}: translation type missing or unrecognized"))
-        if not tt.text:
-            out.append(Violation(prefix, "invalid", f"{where}: empty text"))
+def _translated_faults(tt: TranslatedText):
+    if not LANGUAGE_RE.match(tt.language):
+        yield f"language {tt.language!r} is not a two-letter lowercase code"
+    if tt.translation is None:
+        yield "translation type missing or unrecognized"
+    if not tt.text:
+        yield "empty text"
 
 
-def _check_relations(prefix: str, relations: tuple[Relation, ...],
-                     out: list[Violation]) -> None:
-    for i, rel in enumerate(relations):
-        for fault in rel.faults("endpoint without an id", "empty role"):
-            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: {fault}"))
+def _skill_faults(skill):
+    if not skill.skill:
+        yield "empty skill"
 
 
-def _check_skills(prefix: str, skills, out: list[Violation]) -> None:
-    for i, sk in enumerate(skills):
-        if not sk.skill:
-            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: empty skill"))
+def _contact_faults(contact):
+    if contact.is_empty:
+        yield "no channel present"
 
 
-def _check_contacts(prefix: str, contacts, out: list[Violation]) -> None:
-    for i, contact in enumerate(contacts):
-        if contact.is_empty:
-            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: no channel present"))
+def _ou_relation_faults(rel):
+    if not rel.target:
+        yield "empty target"
+    if not rel.role:
+        yield "empty role"
 
 
-def _check_ou_relations(prefix: str, relations, out: list[Violation]) -> None:
-    for i, rel in enumerate(relations):
-        if not rel.target:
-            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: empty target"))
-        if not rel.role:
-            out.append(Violation(prefix, "invalid", f"{prefix}[{i}]: empty role"))
-
-
-# shape -> (phase, check of a present value, message for a missing one).
+# shape -> (phase, check, message for a missing value).
 # Missing mandatory fields and scalar values are reported first (phase 0),
 # then the items of language-tagged bags (1), then all other items (2), each
 # phase in field order.  The order shows: it is the order of VIOLATION lines,
 # and the first breach names a record's discard reason.
 _SHAPES = {
-    "status": (0, _check_status, "no {} value"),
+    "status": (0, _status_faults, "no {} value"),
     "date": (0, None, "no {}"),
     "text": (0, None, "no {}"),
-    "sex": (0, _check_sex, "no {}"),
+    "sex": (0, _sex_faults, "no {}"),
     "list": (0, None, "no {}"),
-    "translated": (1, _check_translated, "no {}"),
-    "relations": (2, _check_relations, "no {}"),
-    "skills": (2, _check_skills, "no {}"),
-    "contacts": (2, _check_contacts, "no {}"),
-    "ou_relations": (2, _check_ou_relations, "no {}"),
+    "translated": (1, _translated_faults, "no {}"),
+    "relations": (2, lambda rel: rel.faults("endpoint without an id", "empty role"), "no {}"),
+    "skills": (2, _skill_faults, "no {}"),
+    "contacts": (2, _contact_faults, "no {}"),
+    "ou_relations": (2, _ou_relation_faults, "no {}"),
 }
 
 
 def _plan(table) -> tuple:
-    """Ordered (attribute, default, check, missing message) steps; a None
-    check stands for the missing-field check of a mandatory field."""
+    """Ordered (attribute, default, check, parts, missing message) steps; a
+    None check stands for the missing-field check of a mandatory field."""
     steps = []
     for spec in table:
         phase, check, missing = _SHAPES[spec.shape]
         message = missing.format(spec.attr.replace("_", " "))
         if spec.mandatory:
-            steps.append((0, spec.attr, spec.default, None, message))
+            steps.append((0, spec.attr, spec.default, None, (), message))
         if check is not None:
-            steps.append((phase, spec.attr, spec.default, check, message))
+            steps.append((phase, spec.attr, spec.default, check, spec.parts, message))
     steps.sort(key=lambda step: step[0])
     return tuple(step[1:] for step in steps)
 
@@ -185,13 +166,17 @@ def validate_record(record: Record) -> list[Violation]:
                                               "'/', '\\' or a control character"))
     elif (fault := exchange_name_fault(record.id)) is not None:
         out.append(Violation("id", "invalid", f"identifier {record.id!r} {fault}"))
-    for attr, default, check, missing in _PLANS[type(record)]:
+    for attr, default, check, parts, missing in _PLANS[type(record)]:
         value = getattr(record, attr)
-        if value != default:
-            if check is not None:
-                check(attr, value, out)
-        elif check is None:
-            out.append(Violation(attr, "missing", missing))
+        if value == default:
+            if check is None:
+                out.append(Violation(attr, "missing", missing))
+        elif parts:
+            for i, item in enumerate(value):
+                for message in check(item):
+                    out.append(Violation(attr, "invalid", f"{attr}[{i}]: {message}"))
+        elif check is not None:
+            out.extend(Violation(attr, "invalid", message) for message in check(value))
     return out
 
 

@@ -1,8 +1,9 @@
 """Inputs that cannot be decoded or name unknown values end in exit 2.
 
-Each case runs the command in a child process, so an exception escaping
-main() would show as a traceback with exit status 1, the status that means
-"findings".
+Each case of the first test runs the command in a child process, so an
+exception escaping main() would show as a traceback with exit status 1, the
+status that means "findings".  The second test runs in process and checks
+that a refusal of one input among many names that input.
 """
 
 import subprocess
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from cerifrdf.cli import main
 
 from conftest import cli_env
 
@@ -123,3 +126,64 @@ def test_bad_input_exits_2_without_traceback(tmp_path, make_args):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())
+
+
+def _record_file_truncated(tmp_path):
+    store = _store(tmp_path, INDEX_LINE.encode(), DOCUMENT[:-12].encode())
+    return ["query", "(?, ?, ?)", "--store", store], "orgunit.OU.rdf: not well-formed: "
+
+
+def _index_date_unreadable(tmp_path):
+    index = INDEX_LINE + "person:273\tsrc\t06.xx.2001\tall\n"
+    store = _store(tmp_path, index.encode())
+    return (["query", "(?, ?, ?)", "--store", store],
+            f"{Path(store) / 'provenance.index'}:2: non-numeric date field")
+
+
+def _index_date_partial(tmp_path):
+    store = _store(tmp_path, INDEX_LINE.replace("01.01.2001", "2001").encode())
+    return (["query", "(?, ?, ?)", "--store", store],
+            f"{Path(store) / 'provenance.index'}:1: provenance date must be a full date")
+
+
+def _registry_date_unreadable(tmp_path):
+    doc = tmp_path / "site.rdf"
+    doc.write_text(DOCUMENT, "utf-8")
+    registry = tmp_path / "registry.tsv"
+    registry.write_text("TUWIEN\torgunit\tA\t01.01.2000\nTUWIEN\torgunit\tB\t0.1.2000\n",
+                        "utf-8")
+    return (["package", str(doc), "--mode", "all", "--org", "TUWIEN", "--date",
+             "06.06.2001", "--out", str(tmp_path / "out"), "--registry", str(registry)],
+            f"{registry}:2: ")
+
+
+def _gather_input_truncated(tmp_path):
+    good, bad = tmp_path / "good.rdf", tmp_path / "bad.rdf"
+    good.write_text(DOCUMENT, "utf-8")
+    bad.write_text(DOCUMENT[:-12], "utf-8")
+    return (["gather", str(good), str(bad), "--store", str(tmp_path / "st"),
+             "--date", "06.06.2001"], f"{bad}: not well-formed: ")
+
+
+def _validate_input_truncated(tmp_path):
+    good, bad = tmp_path / "good.rdf", tmp_path / "bad.rdf"
+    good.write_text(DOCUMENT, "utf-8")
+    bad.write_text(DOCUMENT[:-12], "utf-8")
+    return ["validate", str(good), str(bad)], f"{bad}: not well-formed: "
+
+
+@pytest.mark.parametrize("make_case", [
+    _record_file_truncated,
+    _index_date_unreadable,
+    _index_date_partial,
+    _registry_date_unreadable,
+    _gather_input_truncated,
+    _validate_input_truncated,
+])
+def test_refusal_names_the_file_it_came_from(tmp_path, capsys, make_case):
+    args, where = make_case(tmp_path)
+    assert main(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {where}"), errors

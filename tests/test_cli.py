@@ -399,6 +399,33 @@ def test_gather_refuses_an_id_that_cannot_name_a_file(tmp_path, capsys):
     assert captured.out == "person:273\tfamily_names\tNiedermayer\n"
 
 
+@pytest.mark.parametrize("name", ["a\tb.rdf", "a\u2028b.rdf", "a\tb.html", "a\x85b.html"])
+def test_gather_refuses_a_source_name_the_index_cannot_hold(tmp_path, capsys, name):
+    # the index is tab-separated, one line per record, so such a source
+    # would leave a store that every later load refuses
+    store_dir = tmp_path / "store"
+    good = write_doc(tmp_path / "site.rdf", linked_pair())
+    assert main(["gather", good, "--store", str(store_dir), "--date", "06.06.2001"]) == 0
+    before = _tree(store_dir)
+    fetched = tmp_path / name
+    if name.endswith(".html"):
+        fetched.write_bytes((DATA_DIR / "auris_page.html").read_bytes())
+        source = f"{name}#475"
+    else:
+        fetched.write_text((tmp_path / "site.rdf").read_text("utf-8"), "utf-8")
+        source = name
+    capsys.readouterr()
+    code = main(["gather", str(fetched), "--store", str(store_dir), "--date", "07.06.2001"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        f"error: provenance source {source!r} holds a tab or a line break"]
+    assert _tree(store_dir) == before
+    assert main(["query", "(273, family_names, ?)", "--store", str(store_dir)]) == 0
+    assert capsys.readouterr().out == "person:273\tfamily_names\tNiedermayer\n"
+
+
 def test_unsafe_id_is_discarded_by_validate_package_render_and_convert(tmp_path, capsys):
     rs = linked_pair()
     rs.add(Person(id="z/../escaped", family_names="Escaped"))

@@ -1,6 +1,7 @@
 """Tests for the CERIF-RDF reader and writer, golden files included."""
 
 import random
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
@@ -463,18 +464,28 @@ def test_round_trip_handles_markup_characters():
     assert parsed == rs
 
 
-def test_custom_namespace_round_trip():
-    ns = "http://example.org/custom-cerif#"
-    rs = _small_set()
-    text = serialize_document(rs, cerif_ns=ns)
-    assert f'xmlns:cerif="{ns}"' in text
-    parsed, warnings = parse_document(text, cerif_ns=ns)
-    assert warnings == []
-    assert parsed == rs
-    # under the default namespace the same document is just foreign noise
-    other, other_warnings = parse_document(text)
-    assert other.records == {}
-    assert other_warnings
+# the last two hold characters that must be escaped inside an attribute
+CUSTOM_NAMESPACES = ["http://example.org/custom-cerif#",
+                     "http://example.org/cerif?v=1&x=2#",
+                     'http://example.org/<cerif> "v2"#']
+
+
+def test_custom_namespace_round_trip(golden_person_text):
+    for ns in CUSTOM_NAMESPACES:
+        rs = _small_set()
+        text = serialize_document(rs, cerif_ns=ns)
+        assert f"xmlns:cerif={quoteattr(ns)}" in text
+        parsed, warnings = parse_document(text, cerif_ns=ns)
+        assert warnings == []
+        assert parsed == rs
+        # under the default namespace the same document is just foreign noise
+        other, other_warnings = parse_document(text)
+        assert other.records == {}
+        assert other_warnings
+        # a document that never declares the prefix is repaired under the URI
+        repaired, warnings = parse_document(golden_person_text, cerif_ns=ns)
+        assert repaired.records[RecordKey("person", "273")].family_names == "Niedermayer"
+        assert f"assumed namespace {ns} for undeclared prefix cerif:" in warnings
 
 
 def test_round_trip_random_sets():
