@@ -25,7 +25,8 @@ from .exchange import (
 )
 from .htmlbridge import extract_rdf, render_html
 from .model import PartialDate, parse_partial_date
-from .rdfxml import CERIF_NS, parse_document, parse_with_duplicates, serialize_document
+from .rdfxml import (CERIF_NS, RecordSet, check_namespace, parse_document,
+                     parse_with_duplicates, serialize_document, writer_faults)
 from .sgml import build_record_set, map_record, parse_sgml
 from .store import (INDEX_FILE, EquivalenceMap, Provenance, SourceKind, Store,
                     TriplePattern)
@@ -38,7 +39,13 @@ from .validation import (
 
 
 def _cerif_ns() -> str:
-    return os.environ.get("CERIF_RDF_NS") or CERIF_NS
+    return check_namespace(os.environ.get("CERIF_RDF_NS") or CERIF_NS)
+
+
+def _parse_file(path: str, ns: str, parse=parse_document):
+    """parse(bytes of *path*, cerif_ns=ns), a refusal naming *path*."""
+    with located(path):
+        return parse(Path(path).read_bytes(), cerif_ns=ns)
 
 
 def _warn(messages) -> None:
@@ -67,12 +74,15 @@ def cmd_validate(args) -> int:
     ns = _cerif_ns()
     findings = False
     for path in args.paths:
-        with located(path):
-            rs, warnings, duplicates = parse_with_duplicates(Path(path).read_bytes(),
-                                                             cerif_ns=ns)
+        rs, warnings, duplicates = _parse_file(path, ns, parse_with_duplicates)
         _warn(f"{path}: {w}" for w in warnings)
         for violation in duplicate_violations(duplicates):
             print(f"VIOLATION document - {violation.message}")
+            findings = True
+        # what package would refuse to write; nested relations are
+        # validate_record's to report
+        for _, fault in writer_faults(RecordSet(relations=rs.relations)):
+            print(f"VIOLATION document - relations: {fault}")
             findings = True
         for key in sorted(rs.records):
             record = rs.records[key]
@@ -90,7 +100,8 @@ def cmd_validate(args) -> int:
 def cmd_convert_sgml(args) -> int:
     ns = _cerif_ns()
     date = _session_date(args.date)
-    records, warnings = parse_sgml(Path(args.path).read_bytes(), encoding=args.encoding)
+    with located(args.path):
+        records, warnings = parse_sgml(Path(args.path).read_bytes(), encoding=args.encoding)
     _warn(warnings)
     converted = []
     skipped = False
@@ -125,8 +136,8 @@ def cmd_extract(args) -> int:
                 raise DuplicateObject(f"two pages share the stem {stem!r}, so their "
                                       f"blocks would overwrite each other in {out}")
             stems.add(stem)
-        out.mkdir(parents=True, exist_ok=True)
     failures = False
+    blocks = {}  # file -> text, written once every page has been read
     for path in args.paths:
         result = extract_rdf(Path(path).read_bytes(), page_uri=path, cerif_ns=ns)
         _warn(f"{path}: {w}" for w in result.warnings)
@@ -135,18 +146,19 @@ def cmd_extract(args) -> int:
         for (rs, offset), block in zip(result.documents, result.blocks):
             print(f"EXTRACTED {path} {offset} {len(rs.records)}")
             if out:
-                target = out / f"{Path(path).stem}.{offset}.rdf"
-                # extraction is not validation, so canonical output keeps
-                # partial records a page may embed
-                target.write_text(
-                    serialize_document(rs, cerif_ns=ns, validate=False)
-                    if args.canonical else block + "\n", "utf-8")
+                blocks[out / f"{Path(path).stem}.{offset}.rdf"] = (
+                    serialize_document(rs, cerif_ns=ns) if args.canonical
+                    else block + "\n")
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
+        for target, text in blocks.items():
+            target.write_text(text, "utf-8")
     return 1 if failures else 0
 
 
 def cmd_render(args) -> int:
     ns = _cerif_ns()
-    rs, warnings = parse_document(Path(args.path).read_bytes(), cerif_ns=ns)
+    rs, warnings = _parse_file(args.path, ns)
     _warn(f"{args.path}: {w}" for w in warnings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,7 +179,7 @@ def cmd_render(args) -> int:
 def cmd_package(args) -> int:
     ns = _cerif_ns()
     date = _session_date(args.date)
-    rs, warnings = parse_document(Path(args.path).read_bytes(), cerif_ns=ns)
+    rs, warnings = _parse_file(args.path, ns)
     _warn(f"{args.path}: {w}" for w in warnings)
     report = apply_discard_cascade(rs)
     for line in report.to_lines():
@@ -202,8 +214,8 @@ def cmd_gather(args) -> int:
     store = Store.load(args.store, cerif_ns=ns)
     for raw in args.inputs:
         path = Path(raw)
-        data = path.read_bytes()
         if path.suffix.lower() in (".html", ".htm"):
+            data = path.read_bytes()
             if args.date is None:
                 raise FormatError("HTML inputs need --date for the fetch date")
             date = _session_date(args.date)
@@ -215,8 +227,7 @@ def cmd_gather(args) -> int:
                 print(f"MERGED {prov.source} {len(rs.records)}")
         else:
             date, kind = _provenance_for(path, args.date)
-            with located(raw):
-                rs, warnings = parse_document(data, cerif_ns=ns)
+            rs, warnings = _parse_file(raw, ns)
             _warn(f"{raw}: {w}" for w in warnings)
             prov = Provenance(path.name, date, kind)
             _warn(store.merge(rs, prov))

@@ -48,7 +48,7 @@ class UnrecognizedName(CerifError):
 
 
 class DuplicateObject(CerifError):
-    """Two objects in one session would be written to the same file name."""
+    """Two inputs would be written to the same file names."""
 
 
 @contextmanager

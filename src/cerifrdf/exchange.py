@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import DuplicateObject, FormatError, InvariantViolation, UnrecognizedName
+from .errors import FormatError, InvariantViolation, UnrecognizedName
 from .model import (
     PartialDate,
     RecordKey,
@@ -26,8 +26,9 @@ from .model import (
     nested_relations,
     parse_partial_date,
 )
-from .rdfxml import RecordSet
+from .rdfxml import RecordSet, check_writable
 from .store import read_rows, write_atomic
+from .validation import check_record
 
 
 class ExchangeKind(Enum):
@@ -170,36 +171,36 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
     produces one file per record; every relation is written into the files of
     both of its endpoints, nested when the endpoint is a project and as a
     document-level relation otherwise, so each file stands on its own.
+    An incomplete record (validation.check_record), what the writer would
+    refuse (rdfxml.check_writable) and an identifier no file name keeps
+    raise InvariantViolation here, so a sender refuses before its first file.
     """
     if not date.is_full:
         raise InvariantViolation("session date must be a full date")
     _check_org(organization)
+    if kind not in (ExchangeKind.ALL, ExchangeKind.PER_OBJECT):
+        raise InvariantViolation(f"cannot plan a session of kind {kind.value}")
+    for key in sorted(rs.records):
+        check_record(rs.records[key])
+    check_writable(rs)
     if kind is ExchangeKind.ALL:
         return [(ExchangeName(ExchangeKind.ALL, organization, date), rs)]
-    if kind is not ExchangeKind.PER_OBJECT:
-        raise InvariantViolation(f"cannot plan a session of kind {kind.value}")
 
-    # each record's relations, in all_relations order; a relation whose
-    # endpoints are equal is listed once
+    # each record's relations, in all_relations order; the writer refused
+    # any relation whose endpoints are equal
     incident: dict[RecordKey, list[Relation]] = {}
     for rel in rs.all_relations():
         incident.setdefault(rel.source, []).append(rel)
-        if rel.target != rel.source:
-            incident.setdefault(rel.target, []).append(rel)
+        incident.setdefault(rel.target, []).append(rel)
     out: list[tuple[ExchangeName, RecordSet]] = []
-    seen_names: set[str] = set()
     for key in sorted(rs.records):
         record = rs.records[key]
-        sub = RecordSet()
-        sub.records[key] = record
+        sub = RecordSet(records={key: record})
         nested = set(nested_relations(record))
         sub.relations = [rel for rel in incident.get(key, ()) if rel not in nested]
         name = ExchangeName(ExchangeKind.PER_OBJECT, organization, date,
                             key.kind, key.id)
-        rendered = format_name(name)
-        if rendered in seen_names:
-            raise DuplicateObject(f"two objects map to file name {rendered}")
-        seen_names.add(rendered)
+        format_name(name)  # refuses an identifier no file name reads back
         out.append((name, sub))
     return out
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .errors import CerifError
 from .model import SCALAR_TEXT, Record, RecordKey, present_fields
 from .rdfxml import CERIF_NS, RecordSet, _scan_tag_end, parse_document, serialize_document
+from .validation import check_record
 
 EMBED_MARKER = "<!--CERIF-RDF"
 _OPEN = "<rdf:RDF"
@@ -128,11 +129,12 @@ def render_html(record: Record, *, cerif_ns: str = CERIF_NS) -> str:
 
     The page carries the canonical CERIF-RDF form of the record inside a
     marked comment, so extract_rdf applied to the output recovers the record
-    exactly.  Records failing their invariants are refused.
+    exactly.  A record that validate_record finds fault with is refused
+    with InvariantViolation, as is one the writer refuses.
     """
-    rs = RecordSet()
-    rs.add(record)
-    document = serialize_document(rs, cerif_ns=cerif_ns)
+    check_record(record)
+    document = serialize_document(RecordSet(records={record.key: record}),
+                                  cerif_ns=cerif_ns)
 
     rows = [("identifier", record.id)]
     for spec, value in present_fields(record):

@@ -8,6 +8,7 @@ which has to be able to look at broken records in order to report them.
 
 from __future__ import annotations
 
+import calendar
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -100,8 +101,10 @@ class PartialDate:
             raise FormatError(f"year {self.year} outside 1000-9999")
         if self.month is not None and not 1 <= self.month <= 12:
             raise FormatError(f"month {self.month} outside 1-12")
-        if self.day is not None and not 1 <= self.day <= 31:
-            raise FormatError(f"day {self.day} outside 1-31")
+        if self.day is not None and not 1 <= self.day <= 28:  # every month has 28
+            last = calendar.monthrange(self.year, self.month)[1]
+            if not 1 <= self.day <= last:
+                raise FormatError(f"day {self.day} outside 1-{last}")
 
     @property
     def is_full(self) -> bool:

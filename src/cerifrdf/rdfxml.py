@@ -5,7 +5,12 @@ are typed record nodes carrying an ID attribute, literal property elements,
 rdf:Bag containers for repeating groups, and resource= attributes for
 references.  Parsing is deliberately forgiving (unknown elements, stray
 whitespace, a missing cerif prefix declaration and legacy spellings all come
-back as warnings); writing is strict and byte-deterministic.
+back as warnings); writing is byte-deterministic.
+
+The writer refuses only what the reader would not read back as written,
+by one rule, writer_faults, which Store.save and exchange.plan_session also
+apply before their first file; exchange.plan_session and
+htmlbridge.render_html, not the writer, refuse incomplete records.
 
 Which elements a record kind has, in which order, and what value shape each
 holds comes from the field table model.RECORD_FIELDS; this module only knows
@@ -21,7 +26,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import DuplicateId, InvariantViolation, MissingId, UnknownCode, XmlError
+from .errors import (DuplicateId, FormatError, InvariantViolation, MissingId, UnknownCode,
+                     XmlError)
 from .model import (
     Contact,
     ExpertSkill,
@@ -180,6 +186,15 @@ def _inject_namespaces(text: str, cerif_ns: str) -> tuple[str, list[str]]:
     repaired = head[:cut] + insertion + head[cut:]
     warnings = [f"assumed namespace {u} for undeclared prefix {p}:" for p, u in missing]
     return text[:m.start()] + repaired + text[end:], warnings
+
+
+def check_namespace(cerif_ns: str) -> str:
+    """*cerif_ns*, refused with FormatError when empty, which would undeclare
+    the cerif prefix, or holding '}', at which ElementTree splits tags."""
+    if not cerif_ns or "}" in cerif_ns:
+        raise FormatError(f"cerif namespace URI {cerif_ns!r} is empty or holds "
+                          "'}', so documents under it would not read back")
+    return cerif_ns
 
 
 def _split_tag(tag: str) -> tuple[str | None, str]:
@@ -530,6 +545,7 @@ def _parse(data: str | bytes, cerif_ns: str,
             raise XmlError(f"document is not UTF-8: {exc}") from None
     else:
         text = data
+    check_namespace(cerif_ns)
     warnings: list[str] = []
     try:
         root = ET.fromstring(text)
@@ -598,9 +614,32 @@ def parse_with_duplicates(data: str | bytes, *, cerif_ns: str = CERIF_NS
 # ---------------------------------------------------------------------------
 # serialization
 
-def _check_relation(rel: Relation, where: str) -> None:
-    for fault in rel.faults("relation endpoint without id", "relation without a role"):
-        raise InvariantViolation(f"{where}: {fault}")  # the first fault refuses
+# how the writer words an endpoint without an id and an empty role
+_FAULT_WORDS = ("relation endpoint without id", "relation without a role")
+
+
+def writer_faults(rs: RecordSet):
+    """(key, fault) for each thing in *rs* the reader would not read back:
+    a fault of a relation nested in record *key* (in key order) or of a
+    document relation (key None), and an org-unit relation without a target."""
+    for key in sorted(rs.records):
+        for spec, value in present_fields(rs.records[key]):
+            if spec.shape == "relations":
+                for rel in value:
+                    for fault in rel.faults(*_FAULT_WORDS):
+                        yield key, fault
+            elif spec.shape == "ou_relations" and not all(rel.target for rel in value):
+                yield key, "org-unit relation without a target"
+    for rel in rs.relations:
+        for fault in rel.faults(*_FAULT_WORDS):
+            yield None, fault
+
+
+def check_writable(rs: RecordSet) -> None:
+    """Refuse the first of writer_faults(rs) with InvariantViolation."""
+    for key, fault in writer_faults(rs):
+        where = "document relations" if key is None else f"{key.kind} {key.id}"
+        raise InvariantViolation(f"{where}: {fault}")
 
 
 def _write_bag(w: _Writer, depth: int, container: str, parts, items,
@@ -629,30 +668,16 @@ def _write_record(w: _Writer, record: Record) -> None:
 
 
 def serialize_document(rs: RecordSet, *, cerif_ns: str = CERIF_NS,
-                       validate: bool = True) -> str:
+                       validate: object = None) -> str:
     """Write a record set to canonical CERIF-RDF text.
 
     Records are emitted sorted by (type, id) with properties in schema order,
-    so output is byte-identical across runs.  By default records that break
-    their own invariants are refused with InvariantViolation; validate=False
-    lifts that for callers persisting gathered material that was never
-    claimed to be complete.  Relations are checked either way because broken
-    ones cannot be read back.
+    so output is byte-identical across runs.  What check_namespace and
+    check_writable refuse raises; completeness is not checked here.
+    validate is ignored, kept for callers that still pass it.
     """
-    from .validation import validate_record
-
-    for key in sorted(rs.records):
-        record = rs.records[key]
-        if validate:
-            problems = validate_record(record)
-            if problems:
-                detail = "; ".join(v.message for v in problems)
-                raise InvariantViolation(f"{key.kind} {key.id}: {detail}")
-        for rel in nested_relations(record):
-            _check_relation(rel, f"{key.kind} {key.id}")
-    for rel in rs.relations:
-        _check_relation(rel, "document relations")
-
+    check_namespace(cerif_ns)
+    check_writable(rs)
     w = _Writer()
     w.lines.append(f'<rdf:RDF xmlns:rdf="{RDF_NS}"')
     w.lines.append(f'    xmlns:rdfs="{RDFS_NS}"')

@@ -55,7 +55,8 @@ from .model import (
     parse_partial_date,
     present_fields,
 )
-from .rdfxml import CERIF_NS, RecordSet, parse_document, serialize_document
+from .rdfxml import (CERIF_NS, RecordSet, check_namespace, parse_document,
+                     serialize_document, writer_faults)
 
 Triple = tuple[str, str, str]
 
@@ -410,9 +411,11 @@ class Store:
     def save(self, directory: str | os.PathLike, *, cerif_ns: str = CERIF_NS) -> None:
         """Write one canonical file per current record plus the provenance
         index; stale record files from earlier saves are removed and the
-        index is written last.  An identifier that cannot name a file, or an
-        org-unit relation without a target in a record the save would write,
-        raises before anything is written.
+        index is written last.  Gathered records need not be complete: only
+        an identifier that cannot name a file, what rdfxml.writer_faults
+        finds in the records and relations the save would write and a
+        namespace rdfxml.check_namespace refuses raise, before anything is
+        written.
 
         Saved back to the directory the store was loaded from or last saved
         to, under the same namespace, only the records that merge changed
@@ -429,34 +432,24 @@ class Store:
                     f"{key.kind} {key.id!r}: identifier holds '/', '\\' or a "
                     "control character; store not saved")
         root = Path(directory)
-        target = (root.resolve(), cerif_ns)
+        target = (root.resolve(), check_namespace(cerif_ns))
         write_all = target != self._on_disk
-        written = [key for key in keys if write_all or key in self._changed]
-        for key in written:
-            # the reader drops such a relation, so the file would not read
-            # back as the record; a loaded record never holds one
-            if any(not rel.target
-                   for spec, value in present_fields(self._current[key][0])
-                   if spec.shape == "ou_relations" for rel in value):
-                raise InvariantViolation(
-                    f"{key.kind} {key.id!r}: org-unit relation without a target; "
-                    "store not saved")
+        pending = RecordSet({key: self._current[key][0] for key in keys
+                             if write_all or key in self._changed})
+        if self._relations and (write_all or self._relations_changed):
+            pending.relations = sorted(self._relations, key=Relation.sort_key)
+        for key, fault in writer_faults(pending):
+            where = "document relations" if key is None else f"{key.kind} {key.id!r}"
+            raise InvariantViolation(f"{where}: {fault}; store not saved")
         root.mkdir(parents=True, exist_ok=True)
         expected = {RELATIONS_FILE} if self._relations else set()
         expected.update(map(_record_file, keys))
-        for key in written:
-            rs = RecordSet()
-            rs.records[key] = self._current[key][0]
-            # gathered records may be partial, so persistence skips the
-            # mandatory-field check that exchange output enforces
-            (root / _record_file(key)).write_text(
-                serialize_document(rs, cerif_ns=cerif_ns, validate=False),
-                "utf-8")
-        if self._relations and (write_all or self._relations_changed):
-            rs = RecordSet()
-            rs.relations = sorted(self._relations, key=Relation.sort_key)
-            (root / RELATIONS_FILE).write_text(
-                serialize_document(rs, cerif_ns=cerif_ns), "utf-8")
+        for key, record in pending.records.items():
+            (root / _record_file(key)).write_text(serialize_document(
+                RecordSet(records={key: record}), cerif_ns=cerif_ns), "utf-8")
+        if pending.relations:
+            (root / RELATIONS_FILE).write_text(serialize_document(
+                RecordSet(relations=pending.relations), cerif_ns=cerif_ns), "utf-8")
         for path in root.glob("*.rdf"):
             if path.name not in expected:
                 path.unlink()

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .errors import InvariantViolation
 from .model import (
     LANGUAGE_RE,
     Project,
@@ -178,6 +179,15 @@ def validate_record(record: Record) -> list[Violation]:
         elif check is not None:
             out.extend(Violation(attr, "invalid", message) for message in check(value))
     return out
+
+
+def check_record(record: Record) -> None:
+    """Refuse *record* with InvariantViolation naming every breach
+    validate_record finds, for writers that promise complete records."""
+    problems = validate_record(record)
+    if problems:
+        detail = "; ".join(v.message for v in problems)
+        raise InvariantViolation(f"{record.kind} {record.id}: {detail}")
 
 
 def lint_record(record: Record) -> list[str]:

@@ -3,7 +3,7 @@
 Each case of the first test runs the command in a child process, so an
 exception escaping main() would show as a traceback with exit status 1, the
 status that means "findings".  The second test runs in process and checks
-that a refusal of one input among many names that input.
+that a refusal of one input among many names that input, in every command.
 """
 
 import subprocess
@@ -172,6 +172,31 @@ def _validate_input_truncated(tmp_path):
     return ["validate", str(good), str(bad)], f"{bad}: not well-formed: "
 
 
+def _render_input_truncated(tmp_path):
+    bad = tmp_path / "trunc.rdf"
+    bad.write_text(DOCUMENT[:-12], "utf-8")
+    return ["render", str(bad), "--out", str(tmp_path / "pages")], f"{bad}: not well-formed: "
+
+
+def _package_input_truncated(tmp_path):
+    bad = tmp_path / "trunc.rdf"
+    bad.write_text(DOCUMENT[:-12], "utf-8")
+    return (["package", str(bad), "--mode", "per-object", "--org", "TUWIEN", "--date",
+             "06.06.2001", "--out", str(tmp_path / "out")], f"{bad}: not well-formed: ")
+
+
+def _sgml_export_not_utf8(tmp_path):
+    args = _sgml_not_utf8(tmp_path)
+    return args, f"{args[1]}: "
+
+
+def _index_date_not_in_its_month(tmp_path):
+    index = INDEX_LINE + "person:273\tsrc\t31.02.2001\tall\n"
+    store = _store(tmp_path, index.encode())
+    return (["query", "(?, ?, ?)", "--store", store],
+            f"{Path(store) / 'provenance.index'}:2: day 31 outside 1-28")
+
+
 @pytest.mark.parametrize("make_case", [
     _record_file_truncated,
     _index_date_unreadable,
@@ -179,6 +204,10 @@ def _validate_input_truncated(tmp_path):
     _registry_date_unreadable,
     _gather_input_truncated,
     _validate_input_truncated,
+    _render_input_truncated,
+    _package_input_truncated,
+    _sgml_export_not_utf8,
+    _index_date_not_in_its_month,
 ])
 def test_refusal_names_the_file_it_came_from(tmp_path, capsys, make_case):
     args, where = make_case(tmp_path)

@@ -206,7 +206,7 @@ def test_render_skips_invalid_record(tmp_path, capsys):
     rs.add(Person(id="2", sex="X"))
     rs.add(Person(id="3", family_names="Three"))
     doc = tmp_path / "people.rdf"
-    doc.write_text(serialize_document(rs, validate=False), "utf-8")
+    doc.write_text(serialize_document(rs), "utf-8")
     pages = tmp_path / "pages"
     code = main(["render", str(doc), "--out", str(pages)])
     captured = capsys.readouterr()
@@ -382,7 +382,7 @@ def test_gather_refuses_an_id_that_cannot_name_a_file(tmp_path, capsys):
     for ident in ("z/../escaped", "300", "273"):
         bad.add(Person(id=ident, family_names=f"Newer {ident}"))
     path = tmp_path / "fetched.rdf"
-    path.write_text(serialize_document(bad, validate=False), "utf-8")
+    path.write_text(serialize_document(bad), "utf-8")
     capsys.readouterr()
     code = main(["gather", str(path), "--store", str(store_dir), "--date", "07.06.2001"])
     err = capsys.readouterr().err
@@ -426,11 +426,120 @@ def test_gather_refuses_a_source_name_the_index_cannot_hold(tmp_path, capsys, na
     assert capsys.readouterr().out == "person:273\tfamily_names\tNiedermayer\n"
 
 
+RDF_HEAD = ('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"\n'
+            '    xmlns:cerif="http://derpi.tuwien.ac.at/~andrei/cerif-rdf#">\n')
+ZZ9 = ('<cerif:person ID="zz9"><cerif:person.per_family_names>Zed'
+       '</cerif:person.per_family_names></cerif:person>\n')
+
+
+def _bag(container: str, item: str, relation: str) -> str:
+    return (f"<cerif:{container}><rdf:Bag><rdf:li><cerif:{item}>{relation}"
+            f"</cerif:{item}></rdf:li></rdf:Bag></cerif:{container}>")
+
+
+# documents the reader reads but the writer refuses to write back, with
+# the refusal: a document relation without a role or with identical
+# endpoints, and a nested relation without a role behind a new record that
+# sorts before it
+FAULTY = {
+    "no role": (ZZ9 + _bag("relations", "relation",
+                           '<cerif:rel.from.person resource="zz9"/>'
+                           '<cerif:rel.to.project resource="E015-01-08"/>'),
+                "document relations: relation without a role"),
+    "identical endpoints": (ZZ9 + _bag("relations", "relation",
+                                       '<cerif:rel.from.person resource="zz9"/>'
+                                       '<cerif:rel.to.person resource="zz9"/>'
+                                       "<cerif:rel.role>self</cerif:rel.role>"),
+                            "document relations: relation with identical endpoints"),
+    "nested, no role": ('<cerif:orgunit ID="A1"/>\n<cerif:project ID="P9">'
+                        + _bag("project-relations", "Project-relation",
+                               '<cerif:rel.from.project resource="P9"/>'
+                               '<cerif:rel.to.person resource="273"/>')
+                        + "</cerif:project>\n",
+                        "project 'P9': relation without a role"),
+}
+
+
+def _errors(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("case", FAULTY)
+def test_gather_refuses_what_the_writer_refuses_before_writing(tmp_path, capsys, case):
+    store_dir = tmp_path / "store"
+    good = write_doc(tmp_path / "site.rdf", linked_pair())
+    assert main(["gather", good, "--store", str(store_dir), "--date", "06.06.2001"]) == 0
+    before = _tree(store_dir)
+    body, refusal = FAULTY[case]
+    fetched = tmp_path / "fetched.rdf"
+    fetched.write_text(RDF_HEAD + body + "</rdf:RDF>\n", "utf-8")
+    capsys.readouterr()
+    code = main(["gather", str(fetched), "--store", str(store_dir), "--date", "07.06.2001"])
+    assert code == 2
+    assert _errors(capsys.readouterr().err) == [f"error: {refusal}; store not saved"]
+    assert _tree(store_dir) == before
+    assert main(["query", "(273, family_names, ?)", "--store", str(store_dir)]) == 0
+    assert capsys.readouterr().out == "person:273\tfamily_names\tNiedermayer\n"
+
+
+@pytest.mark.parametrize("case", ["no role", "identical endpoints"])
+def test_package_and_extract_refuse_before_the_first_file(tmp_path, capsys, case):
+    body, refusal = FAULTY[case]
+    doc = tmp_path / "site.rdf"
+    doc.write_text(RDF_HEAD + body + "</rdf:RDF>\n", "utf-8")
+    for mode in ("all", "per-object"):
+        out = tmp_path / mode
+        code = main(["package", str(doc), "--mode", mode, "--org", "TUW",
+                     "--date", "01.01.2001", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert _errors(captured.err) == [f"error: {refusal}"]
+        assert not out.exists()
+    # validate names what package refuses
+    assert main(["validate", str(doc)]) == 1
+    assert (f"VIOLATION document - relations: {refusal.split(': ')[1]}"
+            in capsys.readouterr().out.splitlines())
+    # a good block before the faulty one is not written either
+    page = tmp_path / "page.html"
+    page.write_text("<p>" + serialize_document(linked_pair()) + "</p>"
+                    + RDF_HEAD + body + "</rdf:RDF>\n", "utf-8")
+    out = tmp_path / "blocks"
+    assert main(["extract", str(page), "--out", str(out), "--canonical"]) == 2
+    assert _errors(capsys.readouterr().err) == [f"error: {refusal}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "in.rdf"],
+    ["convert-sgml", "in.sgml", "--org", "TUW", "--date", "01.01.2001", "--out", "out"],
+    ["extract", "in.html", "--out", "out"],
+    ["render", "in.rdf", "--out", "out"],
+    ["package", "in.rdf", "--mode", "all", "--org", "TUW", "--date", "01.01.2001",
+     "--out", "out"],
+    ["gather", "in.rdf", "--store", "out", "--date", "01.01.2001"],
+    ["query", "(?, ?, ?)", "--store", "out"],
+])
+def test_namespace_that_does_not_read_back_is_refused_first(tmp_path, capsys,
+                                                            monkeypatch, args):
+    # ElementTree splits tags at '}', so no document under this URI parses;
+    # the inputs do not exist, so any read would fail differently
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CERIF_RDF_NS", "http://example.org/a}b#")
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _errors(captured.err) == [
+        "error: cerif namespace URI 'http://example.org/a}b#' is empty or holds '}', "
+        "so documents under it would not read back"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unsafe_id_is_discarded_by_validate_package_render_and_convert(tmp_path, capsys):
     rs = linked_pair()
     rs.add(Person(id="z/../escaped", family_names="Escaped"))
     doc = tmp_path / "site.rdf"
-    doc.write_text(serialize_document(rs, validate=False), "utf-8")
+    doc.write_text(serialize_document(rs), "utf-8")
     violation = ("VIOLATION person z/../escaped identifier 'z/../escaped' holds "
                  "'/', '\\' or a control character")
     discard = "DISCARD person z/../escaped missing-mandatory-field:id"
@@ -529,7 +638,7 @@ def test_package_per_object_refuses_an_id_its_file_name_would_not_keep(
     rs = linked_pair()
     rs.add(Person(id=ident, family_names="Dotted"))
     doc = tmp_path / "site.rdf"
-    doc.write_text(serialize_document(rs, validate=False), "utf-8")
+    doc.write_text(serialize_document(rs), "utf-8")
     discard = f"DISCARD person {ident} missing-mandatory-field:id"
 
     assert main(["validate", str(doc)]) == 1

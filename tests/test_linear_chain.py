@@ -11,16 +11,20 @@ comparisons to show the chain stays linear in records and relations.
 import dataclasses
 import random
 
+import pytest
+
+from cerifrdf.errors import InvariantViolation
 from cerifrdf.exchange import (
     ExchangeKind,
+    ExchangeName,
     IdRegistry,
     SessionIssue,
     check_session,
     format_name,
     plan_session,
 )
-from cerifrdf.model import PartialDate, Project, RecordKey, RECORD_TYPES, Relation
-from cerifrdf.rdfxml import RecordSet, parse_document, serialize_document
+from cerifrdf.model import OrgUnit, PartialDate, Project, RecordKey, RECORD_TYPES, Relation
+from cerifrdf.rdfxml import RecordSet, parse_document, serialize_document, writer_faults
 from cerifrdf.validation import (
     CascadeFrom,
     MissingMandatoryField,
@@ -152,6 +156,24 @@ def seeded_sets(count: int = 60):
         yield seed, chain_set(random.Random(seed))
 
 
+def writable(rs: RecordSet) -> RecordSet:
+    """*rs* without what plan_session refuses: records validate_record finds
+    fault with and document relations the writer refuses, self-loops
+    among them.  Cascade victims and dangling targets stay."""
+    return RecordSet(
+        {key: record for key, record in rs.records.items() if not validate_record(record)},
+        [rel for rel in rs.relations
+         if next(writer_faults(RecordSet(relations=[rel])), None) is None])
+
+
+def planned_files(rs: RecordSet):
+    """The per-object files of *rs* as laid out by the reference scan, for
+    feeding check_session sets that plan_session now refuses."""
+    return [(ExchangeName(ExchangeKind.PER_OBJECT, "TUWIEN", DATE, key.kind, key.id),
+             RecordSet({key: rs.records[key]}, relations))
+            for key, relations in zip(sorted(rs.records), reference_plan_relations(rs))]
+
+
 def drifted_registry(rng: random.Random, rs: RecordSet) -> IdRegistry:
     """Entries under the session's org with other and equal types, and under
     other orgs, for some of the set's identifiers."""
@@ -182,20 +204,27 @@ def test_cascade_reasons_match_wave_loop():
 
 
 def test_plan_session_relations_match_scan():
+    refused = 0
     for seed, rs in seeded_sets():
-        kept = apply_discard_cascade(rs).kept
-        files = plan_session(kept, "TUWIEN", DATE, ExchangeKind.PER_OBJECT)
-        assert [sub.relations for _, sub in files] == reference_plan_relations(kept), seed
-        # unfiltered too: self-loops and dangling targets reach the files
-        files = plan_session(rs, "TUWIEN", DATE, ExchangeKind.PER_OBJECT)
-        assert [sub.relations for _, sub in files] == reference_plan_relations(rs), seed
+        # the kept set, and the set before the cascade: cascade victims and
+        # dangling targets reach the files
+        for planned in (writable(apply_discard_cascade(rs).kept), writable(rs)):
+            files = plan_session(planned, "TUWIEN", DATE, ExchangeKind.PER_OBJECT)
+            assert ([sub.relations for _, sub in files]
+                    == reference_plan_relations(planned)), seed
+        # invalid records and self-loops are refused before any file exists
+        if writable(rs) != rs:
+            with pytest.raises(InvariantViolation):
+                plan_session(rs, "TUWIEN", DATE, ExchangeKind.PER_OBJECT)
+            refused += 1
+    assert refused > 30
 
 
 def test_check_session_flags_match_brute_force():
     drift = 0
     for seed, rs in seeded_sets():
         rng = random.Random(seed)
-        files = plan_session(rs, "TUWIEN", DATE, ExchangeKind.PER_OBJECT)
+        files = planned_files(rs)
         # some files sent under another org, one sent twice, one missing a relation
         files = [(dataclasses.replace(name, organization="UNIVIE"), sub)
                  if rng.random() < 0.2 else (name, sub) for name, sub in files]
@@ -215,7 +244,7 @@ def test_check_session_flags_match_brute_force():
 def test_clean_session_registers_the_same_entries():
     for seed, rs in seeded_sets(20):
         kept = apply_discard_cascade(rs).kept
-        files = plan_session(kept, "TUWIEN", DATE, ExchangeKind.PER_OBJECT)
+        files = planned_files(kept)
         registry = IdRegistry()
         registry.register("UNIVIE", "project", "X", DATE)
         report = check_session(files, registry)
@@ -243,6 +272,9 @@ def _large_document(n: int) -> str:
             record = randgen.rand_orgunit(rng, key.id, parents=rng.sample(units, 2))
         if rng.random() < 0.1:
             record = randgen._break_record(rng, record)
+            if isinstance(record, OrgUnit) and record.ou_relations:
+                # the writer refuses an org-unit relation without a target
+                record = OrgUnit(id=record.id)
         rs.add(record)
     # some nested relations are listed at document level too, so that
     # deduplicating them has equal but distinct objects to compare
@@ -255,7 +287,7 @@ def _large_document(n: int) -> str:
                        mandatory=rng.random() < 0.5)
         relations[rel] = None
     rs.relations = list(relations)
-    return serialize_document(rs, validate=False)
+    return serialize_document(rs)
 
 
 def test_chain_compares_relations_a_linear_number_of_times(monkeypatch):

@@ -79,6 +79,21 @@ def test_malformed_dates_rejected(text):
         parse_partial_date(text)
 
 
+@pytest.mark.parametrize("text", ["31.02.2001", "30.02.2000", "29.02.2001",
+                                  "29.02.1900", "31.04.2001", "31.11.2001"])
+def test_day_its_month_does_not_have_rejected(text):
+    with pytest.raises(FormatError, match="outside 1-"):
+        parse_partial_date(text)
+    with pytest.raises(FormatError):
+        parse_iso_date("-".join(reversed(text.split("."))))
+
+
+@pytest.mark.parametrize("text", ["29.02.2000", "29.02.2004", "28.02.2001",
+                                  "30.04.2001", "31.12.2001"])
+def test_last_day_of_each_month_accepted(text):
+    assert str(parse_partial_date(text)) == text
+
+
 def test_day_without_month_not_representable():
     with pytest.raises(FormatError):
         PartialDate(year=2001, month=None, day=6)

@@ -5,8 +5,11 @@ from xml.sax.saxutils import quoteattr
 
 import pytest
 
-from cerifrdf.errors import DuplicateId, InvariantViolation, MissingId, XmlError
+from cerifrdf.errors import DuplicateId, FormatError, InvariantViolation, MissingId, XmlError
+from cerifrdf.exchange import ExchangeKind, plan_session
+from cerifrdf.htmlbridge import render_html
 from cerifrdf.model import (
+    OrgUnit,
     OuOuRelation,
     PartialDate,
     Person,
@@ -407,26 +410,34 @@ def test_serializer_ignores_insertion_order():
     assert serialize_document(forward) == serialize_document(backward)
 
 
-def test_serializer_refuses_invalid_records():
+def test_invalid_records_are_refused_by_plan_session_and_render():
+    # the writer leaves completeness to the layers that promise it, which
+    # refuse with one message
+    invalid = Project(id="P1", status=None)
     rs = RecordSet()
-    rs.add(Project(id="P1", status=None))
-    with pytest.raises(InvariantViolation):
-        serialize_document(rs)
+    rs.add(invalid)
+    message = "project P1: no status value; no titles; no abstracts"
+    for kind in (ExchangeKind.ALL, ExchangeKind.PER_OBJECT):
+        with pytest.raises(InvariantViolation) as caught:
+            plan_session(rs, "TUWIEN", PartialDate(2001, 6, 6), kind)
+        assert str(caught.value) == message
+    with pytest.raises(InvariantViolation) as caught:
+        render_html(invalid)
+    assert str(caught.value) == message
 
 
-def test_serializer_relaxed_mode_keeps_partial_records():
+def test_serializer_writes_incomplete_records():
     rs = RecordSet()
     rs.add(Project(id="P1", status=ProjectStatus.EXECUTION,
                    uri="http://example.org/p1"))
-    text = serialize_document(rs, validate=False)
-    parsed, warnings = parse_document(text)
+    parsed, warnings = parse_document(serialize_document(rs))
     assert warnings == []
     assert parsed == rs
-    # relation checks still apply in relaxed mode
+    # a relation the reader would not read back is still refused
     key = RecordKey("project", "P1")
     rs.add_relation(Relation(key, key, role="self"))
     with pytest.raises(InvariantViolation):
-        serialize_document(rs, validate=False)
+        serialize_document(rs)
 
 
 def test_serializer_refuses_broken_relations():
@@ -448,6 +459,14 @@ def test_serializer_refuses_broken_relations():
     rs3.add_relation(Relation(key, RecordKey("committee", "C1"), role="serves"))
     with pytest.raises(InvariantViolation):
         serialize_document(rs3)
+
+    # the reader drops an org-unit relation without a target
+    rs4 = RecordSet()
+    rs4.add(OrgUnit(id="U1", names=(TranslatedText("de", TranslationType.ORIGINAL, "I"),),
+                    ou_relations=(OuOuRelation(target="", role="parent"),)))
+    with pytest.raises(InvariantViolation) as caught:
+        serialize_document(rs4)
+    assert str(caught.value) == "orgunit U1: org-unit relation without a target"
 
 
 def test_round_trip_handles_markup_characters():
@@ -486,6 +505,15 @@ def test_custom_namespace_round_trip(golden_person_text):
         repaired, warnings = parse_document(golden_person_text, cerif_ns=ns)
         assert repaired.records[RecordKey("person", "273")].family_names == "Niedermayer"
         assert f"assumed namespace {ns} for undeclared prefix cerif:" in warnings
+
+
+@pytest.mark.parametrize("ns", ["http://example.org/a}b#", "}", ""])
+def test_namespace_that_does_not_read_back_is_refused(golden_person_text, ns):
+    # ElementTree splits tags at '}', and an empty URI would undeclare the prefix
+    with pytest.raises(FormatError, match="would not read back"):
+        serialize_document(_small_set(), cerif_ns=ns)
+    with pytest.raises(FormatError, match="would not read back"):
+        parse_document(golden_person_text, cerif_ns=ns)
 
 
 def test_round_trip_random_sets():

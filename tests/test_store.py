@@ -669,3 +669,35 @@ def test_a_save_that_fails_part_way_loses_nothing(tmp_path, monkeypatch):
         if not failed:
             break
     assert k >= 5  # every step of the save was made to fail once
+
+
+@pytest.mark.parametrize("fault", ["no role", "identical endpoints"])
+@pytest.mark.parametrize("nested", [False, True])
+def test_save_refuses_what_the_writer_refuses_before_any_file(tmp_path, fault, nested):
+    # the faulty relation sits in the document relations, or nested in a
+    # project behind a new record that sorts before it
+    store = built_store()
+    store.save(tmp_path / "home")
+    before = files_in(tmp_path / "home")
+    source = RecordKey("project", "P1") if nested else RecordKey("person", "zz9")
+    relation = (Relation(source, RecordKey("orgunit", "TUWIEN"), role="")
+                if fault == "no role" else Relation(source, source, role="self"))
+    rs = RecordSet()
+    rs.add(Person(id="zz9", family_names="Zed"))
+    if nested:
+        rs.add(Project(id="P1", relations=(relation,)))
+    else:
+        rs.add_relation(relation)
+    store.merge(rs, prov("tuwien", D(2001, 6, 7)))
+    for directory in ("home", "away"):
+        with pytest.raises(InvariantViolation, match="; store not saved$"):
+            store.save(tmp_path / directory)
+    assert files_in(tmp_path / "home") == before
+    assert not (tmp_path / "away").exists()
+    assert Store.load(tmp_path / "home").current == built_store().current
+
+
+def test_save_refuses_a_namespace_that_does_not_read_back(tmp_path):
+    with pytest.raises(FormatError, match="would not read back"):
+        built_store().save(tmp_path / "st", cerif_ns="http://example.org/a}b#")
+    assert not (tmp_path / "st").exists()

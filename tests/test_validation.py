@@ -119,7 +119,7 @@ def test_relation_fault_messages_of_the_validator_and_the_serializer():
         nested = RecordSet()
         nested.add(project)
         with pytest.raises(InvariantViolation) as caught:
-            serialize_document(nested, validate=False)
+            serialize_document(nested)
         assert str(caught.value) == f"project P1: {refused}"
         document = RecordSet()
         document.relations = [rel]
