@@ -186,10 +186,10 @@ def cmd_package(args) -> int:
         print(line)
     kind = ExchangeKind.ALL if args.mode == "all" else ExchangeKind.PER_OBJECT
     files = plan_session(report.kept, args.org, date, kind)
+    registry = IdRegistry.load(args.registry) if args.registry else None
     _write_files(args.out, files, ns)
     flagged = False
-    if args.registry:
-        registry = IdRegistry.load(args.registry)
+    if registry is not None:
         session = check_session(files, registry)
         for line in session.to_lines():
             print(line)

@@ -225,7 +225,7 @@ class IdRegistry:
         registry = cls(path)
         if not registry.path.exists():
             return registry
-        registry.entries.update(read_rows(registry.path, 4, _registry_row))
+        registry.entries = read_rows(registry.path, 4, _registry_row)
         return registry
 
     def register(self, org: str, rtype: str, ident: str, date: PartialDate) -> bool:

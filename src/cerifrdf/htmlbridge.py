@@ -4,6 +4,9 @@ Rendering produces a human-readable HTML page whose machine-readable twin
 travels inside a comment opened by the CERIF-RDF marker.  Extraction does the
 inverse and is deliberately independent of everything around the block: it
 scans for verbatim rdf:RDF regions wherever they sit, inline or commented.
+It scans the page's bytes read as Latin-1, one character per byte, so every
+position it finds is a byte offset by construction; only each block is
+decoded as UTF-8.
 
 The table rows of a rendered page follow the field table
 model.RECORD_FIELDS: one row per scalar field and one per bag item, in
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import CerifError
 from .model import SCALAR_TEXT, Record, RecordKey, present_fields
-from .rdfxml import CERIF_NS, RecordSet, _scan_tag_end, parse_document, serialize_document
+from .rdfxml import CERIF_NS, RecordSet, find_tag_end, parse_document, serialize_document
 from .validation import check_record
 
 EMBED_MARKER = "<!--CERIF-RDF"
@@ -43,24 +46,22 @@ def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
 
     Blocks that fail to parse are reported in warnings and skipped; offsets
     are byte offsets into the page, or into the UTF-8 form of a text page,
-    and strictly increase.
+    and strictly increase.  Each block is read from its bytes, with
+    replacement characters for bytes that are not UTF-8.
     """
     data = page if isinstance(page, bytes) else page.encode("utf-8", "surrogatepass")
-    text = page.decode("utf-8", errors="replace") if isinstance(page, bytes) else page
+    text = data.decode("latin-1")
     result = ExtractionResult(page_uri=page_uri)
-    # Decoding keeps every ASCII byte, so the n-th "<rdf:RDF" of the text is
-    # the n-th of the bytes; i and offset step through both in lockstep.
     pos = 0
-    i = offset = -1
+    offset = -1
     while True:
-        i = text.find(_OPEN, i + 1)
-        if i < 0:
+        offset = text.find(_OPEN, max(offset + 1, pos))
+        if offset < 0:
             break
-        offset = data.find(b"<rdf:RDF", offset + 1)
-        after = text[i + len(_OPEN):i + len(_OPEN) + 1]
-        if i < pos or after not in ("", " ", "\t", "\r", "\n", ">", "/"):
+        after = text[offset + len(_OPEN):offset + len(_OPEN) + 1]
+        if after not in ("", " ", "\t", "\r", "\n", ">", "/"):
             continue
-        tag_end = _scan_tag_end(text, i)
+        tag_end = find_tag_end(text, offset)
         if tag_end is None:
             result.warnings.append(f"offset {offset}: unterminated rdf:RDF start tag")
             break
@@ -73,7 +74,7 @@ def extract_rdf(page: str | bytes, page_uri: str | None = None, *,
                 pos = tag_end
                 continue
             end = close + len(_CLOSE)
-        block = text[i:end]
+        block = data[offset:end].decode("utf-8", errors="replace")
         try:
             rs, block_warnings = parse_document(block, cerif_ns=cerif_ns)
         except CerifError as exc:

@@ -152,19 +152,16 @@ class RecordSet:
                 and set(self.relations) == set(other.relations))
 
 
-def _scan_tag_end(text: str, start: int) -> int | None:
-    """Index just past the '>' closing the tag that starts at *start*."""
-    quote: str | None = None
-    for i in range(start, len(text)):
-        c = text[i]
-        if quote:
-            if c == quote:
-                quote = None
-        elif c in "\"'":
-            quote = c
-        elif c == ">":
-            return i + 1
-    return None
+# Up to the first '>' outside a quoted attribute value; unrolled so that
+# each run of plain characters is one step.
+_TAG_END = re.compile(r"""[^"'>]*(?:(?:"[^"]*"|'[^']*')[^"'>]*)*>""")
+
+
+def find_tag_end(text: str, start: int) -> int | None:
+    """Index just past the '>' closing the tag that starts at *start*, or
+    None when the tag does not end; a '>' inside quotes does not close it."""
+    m = _TAG_END.match(text, start)
+    return m.end() if m else None
 
 
 def _inject_namespaces(text: str, cerif_ns: str) -> tuple[str, list[str]]:
@@ -172,7 +169,7 @@ def _inject_namespaces(text: str, cerif_ns: str) -> tuple[str, list[str]]:
     m = re.search(r"<rdf:RDF\b", text)
     if m is None:
         raise XmlError("undeclared namespace prefix and no rdf:RDF root to repair")
-    end = _scan_tag_end(text, m.start())
+    end = find_tag_end(text, m.start())
     if end is None:
         raise XmlError("unterminated rdf:RDF start tag")
     head = text[m.start():end]
@@ -409,7 +406,7 @@ def _read_date(raw: str, owner: str, spec, warnings: list[str]) -> PartialDate |
         return None
     try:
         return parse_partial_date(raw)
-    except Exception as exc:  # FormatError, reported not raised
+    except FormatError as exc:
         warnings.append(f"unusable {spec.label} {raw!r}: {exc}")
         return None
 

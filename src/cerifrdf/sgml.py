@@ -3,8 +3,10 @@
 Records sit between <RECORD> and </RECORD> lines.  Inside a record each line
 starting with a three-letter tag like <DEG> opens a value that runs until the
 next tag line; there are no closing tags and continuation lines are joined
-with single spaces.  Only org-unit descriptions are produced from this
-format: the tag set carries no project or result data.
+with single spaces.  The reader keeps each open entry as its tag and the
+parts of its value, and joins the parts when </RECORD> closes the record;
+every warning and error names its line.  Only org-unit descriptions are
+produced from this format: the tag set carries no project or result data.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import EncodingError, MalformedTagLine, MissingId, UnterminatedRecord
+from .errors import (EncodingError, FormatError, MalformedTagLine, MissingId,
+                     UnterminatedRecord)
 from .model import (
     Contact,
     ExpertSkill,
@@ -69,18 +72,8 @@ def parse_sgml(data: str | bytes,
         raise EncodingError(f"export not readable as {encoding}: {exc}") from None
     records: list[LegacyRecord] = []
     warnings: list[str] = []
-    entries: list[tuple[str, str]] | None = None
-    tag: str | None = None
-    parts: list[str] = []
-
-    def flush_entry() -> None:
-        nonlocal tag, parts
-        if tag is not None:
-            assert entries is not None
-            entries.append((tag, " ".join(p for p in parts if p)))
-        tag = None
-        parts = []
-
+    # the open record's entries, each a tag and the parts of its value
+    entries: list[tuple[str, list[str]]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("<"):
@@ -98,8 +91,8 @@ def parse_sgml(data: str | bytes,
             if line == "</RECORD>":
                 if entries is None:
                     raise MalformedTagLine(f"line {lineno}: </RECORD> without <RECORD>")
-                flush_entry()
-                records.append(LegacyRecord(entries=tuple(entries)))
+                records.append(LegacyRecord(entries=tuple(
+                    (tag, " ".join(p for p in parts if p)) for tag, parts in entries)))
                 entries = None
                 continue
             m = _TAG_LINE.match(line)
@@ -107,9 +100,8 @@ def parse_sgml(data: str | bytes,
                 raise MalformedTagLine(f"line {lineno}: {line!r}")
             if entries is None:
                 raise MalformedTagLine(f"line {lineno}: tag line outside a record")
-            flush_entry()
             tag = m.group(1)
-            parts = [collapse_ws(m.group(2))]
+            entries.append((tag, [collapse_ws(m.group(2))]))
             if tag not in KNOWN_TAGS:
                 warnings.append(f"line {lineno}: unknown tag <{tag}>")
             continue
@@ -118,12 +110,11 @@ def parse_sgml(data: str | bytes,
         if entries is None:
             warnings.append(f"line {lineno}: text outside any record ignored")
             continue
-        if tag is None:
+        if not entries:
             raise MalformedTagLine(f"line {lineno}: value text before the first tag")
-        parts.append(collapse_ws(line))
+        entries[-1][1].append(collapse_ws(line))
     if entries is not None:
         raise UnterminatedRecord("record still open at end of input")
-    flush_entry()
     return records, warnings
 
 
@@ -243,7 +234,7 @@ def map_record(lr: LegacyRecord, export_date: PartialDate) -> ConvertedRecord:
     if upd:
         try:
             parsed = parse_iso_date(upd)
-        except Exception as exc:
+        except FormatError as exc:
             warnings.append(f"unusable UPD date {upd!r}: {exc}")
         else:
             warnings.append(f"provenance only: UPD={parsed}")

@@ -72,10 +72,12 @@ def read_utf8(path: Path) -> str:
         raise EncodingError(f"{path}: not UTF-8: {exc}") from None
 
 
-def read_rows(path: Path, width: int, read_row):
-    """read_row(*fields) for each non-blank line of a tab-separated UTF-8
-    file.  A line without exactly *width* fields raises FormatError, and
-    either that or a CerifError from read_row names the file and line."""
+def read_rows(path: Path, width: int, read_row) -> dict:
+    """The dict of the (key, value) pairs read_row(*fields) gives for the
+    non-blank lines of a tab-separated UTF-8 file.  A line without exactly
+    *width* fields, or with the key of an earlier line, raises FormatError,
+    and either that or a CerifError from read_row names the file and line."""
+    rows: dict = {}
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -83,9 +85,13 @@ def read_rows(path: Path, width: int, read_row):
         try:
             if len(fields) != width:
                 raise FormatError(f"expected {width} tab-separated fields")
-            yield read_row(*fields)
+            key, value = read_row(*fields)
+            if key in rows:
+                raise FormatError(f"{key!r} is listed twice")
         except CerifError as exc:  # as errors.located does, without its per-line cost
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
+        rows[key] = value
+    return rows
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -470,8 +476,9 @@ class Store:
         """Rebuild a saved store: its current map, provenance and relations.
 
         A directory without a provenance index gives an empty store.  A key
-        that two record files hold, a record the index does not list and an
-        indexed key that no record file holds raise FormatError.
+        that the index lists twice or two record files hold, a record the
+        index does not list and an indexed key that no record file holds
+        raise FormatError.
 
         A record read from anything but its own kind.id.rdf file holding
         nothing else, relations read from anything but _relations.rdf
@@ -484,7 +491,7 @@ class Store:
         index_path = root / INDEX_FILE
         if not index_path.exists():
             return store
-        provenance = dict(read_rows(index_path, 4, _index_row))
+        provenance = read_rows(index_path, 4, _index_row)
         held_in: dict[RecordKey, str] = {}
         for path in sorted(root.glob("*.rdf")):
             with located(path.name):

@@ -289,6 +289,32 @@ def test_package_per_object_with_registry(tmp_path, capsys):
     assert len(flags) == 1 and flags[0].startswith("FLAG type-drift")
 
 
+@pytest.mark.parametrize("registry_text, refusal", [
+    ("TUWIEN\tperson\n", "{path}:1: expected 4 tab-separated fields"),
+    ("TUWIEN\tperson\t273\t01.01.1999\nTUWIEN\tperson\t273\t05.05.2000\n",
+     "{path}:2: ('TUWIEN', 'person', '273') is listed twice"),
+    (None, "[Errno 21] Is a directory: '{path}'"),
+], ids=["malformed line", "key listed twice", "directory"])
+def test_package_reads_the_registry_before_it_writes(tmp_path, capsys,
+                                                     registry_text, refusal):
+    doc = write_doc(tmp_path / "site.rdf", linked_pair())
+    registry = tmp_path / "registry.tsv"
+    if registry_text is None:
+        registry.mkdir()
+    else:
+        registry.write_text(registry_text, "utf-8")
+    out = tmp_path / "out"
+    code = main(["package", doc, "--mode", "all", "--org", "TUWIEN",
+                 "--date", "06.06.2001", "--out", str(out), "--registry", str(registry)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert _errors(captured.err) == ["error: " + refusal.format(path=registry)]
+    assert not out.exists()
+    if registry_text is not None:
+        assert registry.read_text("utf-8") == registry_text
+
+
 def test_package_all_mode(tmp_path, capsys):
     doc = write_doc(tmp_path / "site.rdf", linked_pair())
     out = tmp_path / "out"
@@ -370,6 +396,24 @@ def _tree(root):
     directory before and after a command."""
     return {path.relative_to(root): path.read_bytes() if path.is_file() else None
             for path in root.rglob("*")}
+
+
+def test_query_and_gather_refuse_a_key_listed_twice_in_the_index(tmp_path, capsys):
+    store_dir = tmp_path / "store"
+    good = write_doc(tmp_path / "site.rdf", linked_pair())
+    assert main(["gather", good, "--store", str(store_dir), "--date", "06.06.2001"]) == 0
+    index = store_dir / "provenance.index"
+    first = index.read_text("utf-8").splitlines()[0]
+    index.write_text(index.read_text("utf-8") + first + "\n", "utf-8")
+    before = _tree(store_dir)
+    subject = first.split("\t")[0]
+    refusal = f"error: {index}:3: {subject!r} is listed twice"
+    capsys.readouterr()
+    assert main(["query", "(?, ?, ?)", "--store", str(store_dir)]) == 2
+    assert _errors(capsys.readouterr().err) == [refusal]
+    assert main(["gather", good, "--store", str(store_dir), "--date", "07.07.2001"]) == 2
+    assert _errors(capsys.readouterr().err) == [refusal]
+    assert _tree(store_dir) == before
 
 
 def test_gather_refuses_an_id_that_cannot_name_a_file(tmp_path, capsys):

@@ -287,6 +287,18 @@ def test_registry_load_rejects_bad_lines(tmp_path):
         IdRegistry.load(path)
 
 
+def test_registry_load_rejects_a_key_listed_twice(tmp_path):
+    # the later line would otherwise replace the first-seen date
+    path = tmp_path / "registry.tsv"
+    path.write_text("TUWIEN\tperson\t273\t01.01.1999\n"
+                    "TUWIEN\tproject\t273\t01.01.1999\n"
+                    "TUWIEN\tperson\t273\t05.05.2000\n", "utf-8")
+    with pytest.raises(FormatError) as err:
+        IdRegistry.load(path)
+    assert str(err.value) == (f"{path}:3: ('TUWIEN', 'person', '273') "
+                              "is listed twice")
+
+
 def test_registry_missing_file_is_empty(tmp_path):
     reg = IdRegistry.load(tmp_path / "absent.tsv")
     assert reg.entries == {}

@@ -58,6 +58,16 @@ def test_extract_offsets_on_a_page_that_is_not_utf8():
     assert result.warnings == []
 
 
+def test_extract_reads_a_lone_surrogate_as_replacement_characters():
+    # a text page is scanned in its UTF-8 form, where a lone surrogate is
+    # three bytes that do not decode
+    root = '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"'
+    result = extract_rdf("<p>ä</p>" + root + "><!-- \ud800 --></rdf:RDF>")
+    assert [offset for _, offset in result.documents] == [9]
+    assert result.blocks == [root + "><!-- \ufffd\ufffd\ufffd --></rdf:RDF>"]
+    assert result.warnings == []
+
+
 def test_extract_ignores_similarly_named_elements():
     page = "<p><rdf:RDFontSize>x</rdf:RDFontSize></p>"
     result = extract_rdf(page)

@@ -1,9 +1,12 @@
-"""The package's modules import each other at the top only, without cycles.
+"""The package's modules import each other at the top only, without cycles,
+and only through public names.
 
 An import inside a function hides a dependency from a reader of the module
 head and from the cycle check below; a cycle makes what a module can see
-depend on which module was imported first.  The checks read the sources
-with ast, so they see every import whether or not it runs.
+depend on which module was imported first; a name starting with '_' is
+private to its module, which may change it without looking for callers.
+The checks read the sources with ast, so they see every import whether or
+not it runs.
 """
 
 import ast
@@ -44,6 +47,16 @@ def test_no_import_inside_a_function():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              for inner in ast.walk(node)
              if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_no_private_name_imported_from_another_module():
+    found = [f"{name}.py:{node.lineno} imports {alias.name}"
+             for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and package_imports(node)
+             for alias in node.names
+             if alias.name.startswith("_") and alias.name not in MODULES]
     assert found == []
 
 

@@ -5,6 +5,7 @@ from xml.sax.saxutils import quoteattr
 
 import pytest
 
+from cerifrdf import rdfxml
 from cerifrdf.errors import DuplicateId, FormatError, InvariantViolation, MissingId, XmlError
 from cerifrdf.exchange import ExchangeKind, plan_session
 from cerifrdf.htmlbridge import render_html
@@ -224,6 +225,17 @@ def test_unusable_date_becomes_warning():
     assert any("sometime" in w for w in warnings)
 
 
+def test_date_reader_reports_only_format_errors(monkeypatch):
+    def broken(text):
+        raise TypeError("bug in the date parser")
+    monkeypatch.setattr(rdfxml, "parse_partial_date", broken)
+    doc = wrap('<cerif:project ID="P1">'
+               "<cerif:proj_startdate>02.2000</cerif:proj_startdate>"
+               "</cerif:project>")
+    with pytest.raises(TypeError, match="bug in the date parser"):
+        parse_document(doc)
+
+
 def test_bag_oddities_warn():
     doc = wrap('<cerif:project ID="P1">'
                "<cerif:project-titles>"
@@ -375,6 +387,90 @@ def test_document_relations_deduplicated_in_order():
     grown = RecordSet(relations=[rels[3]])
     grown.extend_relations(rels)
     assert grown.relations == [rels[3], rels[0], rels[1]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('<cerif:project ID="1"/>',
+     "undeclared namespace prefix and no rdf:RDF root to repair"),
+    ('<!-- <rdf:RDF " --><x:root/>', "unterminated rdf:RDF start tag"),
+    (wrap("<x:foo/>"), "undeclared namespace prefix not repairable from the root tag"),
+])
+def test_namespace_repair_refusals(doc, message):
+    with pytest.raises(XmlError, match=f"^{message}$"):
+        parse_document(doc)
+
+
+def test_translated_bag_recovery():
+    item = ("<cerif:Project-title>"
+            "<cerif:proj_title_language>en</cerif:proj_title_language>"
+            "<cerif:proj_title_trans_type>Q</cerif:proj_title_trans_type>"
+            "<cerif:proj_title>One</cerif:proj_title>"
+            "<cerif:proj_title>Two</cerif:proj_title>"
+            "</cerif:Project-title>")
+    doc = wrap('<cerif:project ID="P1"><cerif:project-titles>'
+               f"<rdf:Bag><rdf:li>{item}<cerif:Project-title/></rdf:li></rdf:Bag>"
+               "<rdf:Bag><rdf:li><cerif:Project-title/></rdf:li></rdf:Bag>"
+               "</cerif:project-titles></cerif:project>")
+    rs, warnings = parse_document(doc)
+    assert rs.records[RecordKey("project", "P1")].titles == (
+        TranslatedText("en", None, "One"),)
+    assert warnings == [
+        "project P1 titles: more than one rdf:Bag, extra ones ignored",
+        "project P1 titles: extra elements inside one list item ignored",
+        "project P1 titles: unknown translation code 'Q'",
+        "project P1 titles: second text element cerif:proj_title ignored",
+    ]
+
+
+def test_ou_relation_without_resource_dropped():
+    doc = wrap('<cerif:orgunit ID="O1">'
+               + bag("orgunit.ou_ou_relations", "orgunit.ou_ou_relation",
+                     "<cerif:orgunit.ou_ou_r.orgunit>O2</cerif:orgunit.ou_ou_r.orgunit>"
+                     "<cerif:orgunit.ou_ou_r.role>parent</cerif:orgunit.ou_ou_r.role>")
+               + "</cerif:orgunit>")
+    rs, warnings = parse_document(doc)
+    assert rs.records[RecordKey("orgunit", "O1")].ou_relations == ()
+    assert warnings == [
+        "ou_ou_relation: element cerif:orgunit.ou_ou_r.orgunit without resource ignored",
+        "ou_ou_relation without a target dropped",
+    ]
+
+
+def test_relation_item_recovery():
+    doc = wrap(bag("relations", "relation",
+                   '<cerif:rel.from.widget resource="W1"/>'
+                   "<cerif:rel.from.orgunit/>"
+                   '<cerif:rel.from.orgunit resource="O1"/>'
+                   '<cerif:rel.to.project resource="P1"/>'
+                   "<cerif:rel.colour>blue</cerif:rel.colour>"
+                   "<cerif:rel.role>runs</cerif:rel.role>"))
+    rs, warnings = parse_document(doc)
+    assert rs.relations == [Relation(RecordKey("orgunit", "O1"),
+                                     RecordKey("project", "P1"), role="runs")]
+    assert warnings == [
+        "relation endpoint with unknown type 'widget' ignored",
+        "relation endpoint without resource ignored",
+        "relation: unknown element cerif:rel.colour ignored",
+    ]
+
+
+def test_empty_id_raises():
+    with pytest.raises(MissingId, match="^cerif:person node with empty ID attribute$"):
+        parse_document(wrap('<cerif:person ID="  "/>'))
+
+
+def test_mixed_content_text_and_empty_scalars():
+    doc = wrap('<cerif:person ID="1"><cerif:person.per_family_names>'
+               "Mus<cerif:em>ter</cerif:em>  x </cerif:person.per_family_names>"
+               "</cerif:person>"
+               '<cerif:project ID="P1"><cerif:proj_status></cerif:proj_status>'
+               "<cerif:proj_startdate/><cerif:proj_enddate> </cerif:proj_enddate>"
+               "</cerif:project>")
+    rs, warnings = parse_document(doc)
+    assert rs.records[RecordKey("person", "1")].family_names == "Muster x"
+    project = rs.records[RecordKey("project", "P1")]
+    assert (project.status, project.start, project.end) == (None, None, None)
+    assert warnings == []
 
 
 # ---------------------------------------------------------------------------

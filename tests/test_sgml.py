@@ -2,6 +2,7 @@
 
 import pytest
 
+from cerifrdf import sgml
 from cerifrdf.errors import MalformedTagLine, MissingId, UnterminatedRecord
 from cerifrdf.model import RecordKey, TranslationType, parse_partial_date
 from cerifrdf.sgml import (
@@ -75,6 +76,11 @@ def test_malformed_lines_raise():
 def test_empty_record_form():
     records, _ = parse_sgml("<RECORD></RECORD>\n")
     assert records == [LegacyRecord()]
+
+
+def test_empty_record_form_inside_a_record_raises():
+    with pytest.raises(MalformedTagLine, match="^line 3: record opened inside a record$"):
+        parse_sgml("<RECORD>\n<RCN>X\n<RECORD></RECORD>\n</RECORD>\n")
 
 
 def test_text_outside_records_warns():
@@ -190,6 +196,19 @@ def make(entries) -> LegacyRecord:
 def test_missing_rcn_raises():
     with pytest.raises(MissingId):
         map_record(make([("DEG", "Institut")]), EXPORT_DATE)
+
+
+def test_unreadable_upd_date_becomes_warning():
+    cv = map_record(make([("RCN", "X-1"), ("UPD", "2001-13-01")]), EXPORT_DATE)
+    assert cv.warnings == ["unusable UPD date '2001-13-01': month 13 outside 1-12"]
+
+
+def test_upd_date_reports_only_format_errors(monkeypatch):
+    def broken(text):
+        raise TypeError("bug in the date parser")
+    monkeypatch.setattr(sgml, "parse_iso_date", broken)
+    with pytest.raises(TypeError, match="bug in the date parser"):
+        map_record(make([("RCN", "X-1"), ("UPD", "2001-06-06")]), EXPORT_DATE)
 
 
 def test_contact_without_head_is_dropped_loudly():

@@ -408,6 +408,19 @@ def test_load_rejects_short_index_line(tmp_path):
         Store.load(tmp_path)
 
 
+def test_load_rejects_a_key_listed_twice_in_the_index(tmp_path):
+    # the later line would otherwise win, and the next save drop the first
+    built_store().save(tmp_path)
+    index = tmp_path / INDEX_FILE
+    lines = index.read_text("utf-8").splitlines()
+    twice = lines[0].replace("06.06.2001", "07.07.2001")
+    index.write_text("".join(l + "\n" for l in [*lines, twice]), "utf-8")
+    with pytest.raises(FormatError) as err:
+        Store.load(tmp_path)
+    subject = lines[0].split("\t")[0]
+    assert str(err.value) == f"{index}:{len(lines) + 1}: {subject!r} is listed twice"
+
+
 def test_load_rejects_unindexed_record(tmp_path):
     built_store().save(tmp_path)
     index = (tmp_path / INDEX_FILE).read_text("utf-8")
