@@ -7,6 +7,14 @@ references.  Parsing is deliberately forgiving (unknown elements, stray
 whitespace, a missing cerif prefix declaration and legacy spellings all come
 back as warnings); writing is byte-deterministic.
 
+The reader maps each top-level child of rdf:RDF as soon as it is complete.
+A text longer than one chunk (_CHUNK characters) is fed to a pull parser a
+chunk at a time and each mapped child is dropped, so past one chunk the
+reader holds the text and about one top-level child's subtree, not a tree of
+the whole text.  A shorter text is parsed whole, which is faster at that
+size; both go through the same mapping.  The reader never touches gc, whose
+setting belongs to the process.
+
 The writer refuses only what the reader would not read back as written,
 by one rule, writer_faults, which Store.save and exchange.plan_session also
 apply before their first file; exchange.plan_session and
@@ -26,8 +34,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import (DuplicateId, FormatError, InvariantViolation, MissingId, UnknownCode,
-                     XmlError)
+from .errors import (CerifError, DuplicateId, FormatError, InvariantViolation, MissingId,
+                     UnknownCode, XmlError)
 from .model import (
     Contact,
     ExpertSkill,
@@ -533,6 +541,98 @@ def _parse_record(el: ET.Element, kind: str, cerif_ns: str,
     return cls(id=ident, **values)
 
 
+def _map_child(child: ET.Element, rs: RecordSet, duplicates: list[RecordKey],
+               cerif_ns: str, collect_duplicates: bool, warnings: list[str]) -> None:
+    """Map one complete top-level child of rdf:RDF into *rs*."""
+    names = _cerif_local(child.tag, cerif_ns, warnings)
+    if names is None:
+        warnings.append("non-CERIF element under rdf:RDF ignored")
+        return
+    local, canonical = names
+    if canonical in RECORD_CLASSES:
+        record = _parse_record(child, canonical, cerif_ns, warnings)
+        key = record.key
+        if key not in rs.records:
+            rs.records[key] = record
+        elif collect_duplicates:
+            duplicates.append(key)
+        else:
+            raise DuplicateId(f"{key.kind} {key.id} declared more than once")
+    elif canonical == "relations":
+        rs.extend_relations(_read_bag(child, _parse_relation, cerif_ns,
+                                      warnings, "document relations"))
+    else:
+        warnings.append(f"unknown typed element cerif:{local} ignored")
+
+
+# Past this many characters a text is parsed a chunk at a time.
+_CHUNK = 1 << 16
+
+
+def _top_level(text: str):
+    """The root element of *text*, then each child of the root once it is
+    complete; ET.ParseError where the text is not well-formed.
+
+    A text of at most one chunk is parsed whole.  A longer one is fed to a
+    pull parser a chunk at a time, and each child leaves the tree once it
+    has been handed on, so the tree never holds more than the root and the
+    children begun since the last one handed on.
+    """
+    if len(text) <= _CHUNK:
+        root = ET.fromstring(text)
+        yield root
+        yield from root
+        return
+    parser = ET.XMLPullParser(("start",))
+    root = None
+    # one step past the text closes the parser, which may still give events:
+    # expat may defer a token that spans chunks until the end
+    for start in range(0, len(text) + _CHUNK, _CHUNK):
+        if start < len(text):
+            parser.feed(text[start:start + _CHUNK])
+        else:
+            parser.close()
+        for _, el in parser.read_events():
+            if root is None:
+                root = el
+                yield root
+            elif len(root) > 1 and el is root[-1]:
+                # the last child has begun, so every earlier one is complete
+                while len(root) > 1:
+                    yield root[0]
+                    del root[0]
+    yield from root
+
+
+def _read(text: str, cerif_ns: str, collect_duplicates: bool,
+          warnings: list[str]) -> tuple[RecordSet, list[str], list[RecordKey]]:
+    """Map the children of the root of *text* in document order.
+
+    The first CerifError of the root check or the mapping is held until the
+    whole text is parsed, so that an ET.ParseError anywhere in the text comes
+    first, as it would from a tree built whole.
+    """
+    elements = _top_level(text)
+    root = next(elements)
+    held: CerifError | None = None
+    if _split_tag(root.tag) != (RDF_NS, "RDF"):
+        held = XmlError(f"root element is {root.tag}, expected rdf:RDF")
+    rs = RecordSet()
+    duplicates: list[RecordKey] = []
+    for child in elements:
+        if held is None:
+            try:
+                _map_child(child, rs, duplicates, cerif_ns, collect_duplicates, warnings)
+            except CerifError as exc:
+                held = exc
+    if held is not None:
+        raise held
+    return rs, warnings, duplicates
+
+
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _parse(data: str | bytes, cerif_ns: str,
            collect_duplicates: bool) -> tuple[RecordSet, list[str], list[RecordKey]]:
     if isinstance(data, bytes):
@@ -543,46 +643,23 @@ def _parse(data: str | bytes, cerif_ns: str,
     else:
         text = data
     check_namespace(cerif_ns)
-    warnings: list[str] = []
+    # Only a str can hold a lone surrogate.  Expat cannot take one, and a
+    # streamed text would reach it only after the chunks before it.
+    bad = (None if isinstance(data, bytes) or text.isascii()
+           else _LONE_SURROGATE.search(text))
+    if bad:
+        raise XmlError(f"document text holds lone surrogate {bad.group()!r} "
+                       f"at character {bad.start()}, which UTF-8 cannot encode")
     try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        if "unbound prefix" not in str(exc):
-            raise XmlError(f"not well-formed: {exc}") from None
-        repaired, inject_warnings = _inject_namespaces(text, cerif_ns)
         try:
-            root = ET.fromstring(repaired)
-        except ET.ParseError as exc2:
-            raise XmlError(f"not well-formed: {exc2}") from None
-        warnings.extend(inject_warnings)
-
-    uri, local = _split_tag(root.tag)
-    if (uri, local) != (RDF_NS, "RDF"):
-        raise XmlError(f"root element is {root.tag}, expected rdf:RDF")
-
-    rs = RecordSet()
-    duplicates: list[RecordKey] = []
-    for child in root:
-        names = _cerif_local(child.tag, cerif_ns, warnings)
-        if names is None:
-            warnings.append("non-CERIF element under rdf:RDF ignored")
-            continue
-        local, canonical = names
-        if canonical in RECORD_CLASSES:
-            record = _parse_record(child, canonical, cerif_ns, warnings)
-            key = record.key
-            if key in rs.records:
-                if not collect_duplicates:
-                    raise DuplicateId(f"{key.kind} {key.id} declared more than once")
-                duplicates.append(key)
-                continue
-            rs.records[key] = record
-        elif canonical == "relations":
-            rs.extend_relations(_read_bag(child, _parse_relation, cerif_ns,
-                                          warnings, "document relations"))
-        else:
-            warnings.append(f"unknown typed element cerif:{local} ignored")
-    return rs, warnings, duplicates
+            return _read(text, cerif_ns, collect_duplicates, [])
+        except ET.ParseError as exc:
+            if "unbound prefix" not in str(exc):
+                raise
+        repaired, warnings = _inject_namespaces(text, cerif_ns)
+        return _read(repaired, cerif_ns, collect_duplicates, warnings)
+    except ET.ParseError as exc:
+        raise XmlError(f"not well-formed: {exc}") from None
 
 
 def parse_document(data: str | bytes, *,

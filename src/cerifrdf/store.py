@@ -493,7 +493,7 @@ class Store:
             return store
         provenance = read_rows(index_path, 4, _index_row)
         held_in: dict[RecordKey, str] = {}
-        for path in sorted(root.glob("*.rdf")):
+        for path in sorted(root.glob("*.rdf"), key=lambda p: p.name):
             with located(path.name):
                 rs, warnings = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
             if warnings:

@@ -389,12 +389,15 @@ def test_document_relations_deduplicated_in_order():
     assert grown.relations == [rels[3], rels[0], rels[1]]
 
 
-@pytest.mark.parametrize("doc, message", [
+REPAIR_REFUSALS = [
     ('<cerif:project ID="1"/>',
      "undeclared namespace prefix and no rdf:RDF root to repair"),
     ('<!-- <rdf:RDF " --><x:root/>', "unterminated rdf:RDF start tag"),
     (wrap("<x:foo/>"), "undeclared namespace prefix not repairable from the root tag"),
-])
+]
+
+
+@pytest.mark.parametrize("doc, message", REPAIR_REFUSALS)
 def test_namespace_repair_refusals(doc, message):
     with pytest.raises(XmlError, match=f"^{message}$"):
         parse_document(doc)
