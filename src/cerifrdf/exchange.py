@@ -104,15 +104,12 @@ def format_name(name: ExchangeName) -> str:
 
 
 def _full_date(segments: list[str], name: str) -> PartialDate:
-    if len(segments) != 3:
-        raise UnrecognizedName(f"{name!r}: date not full")
+    """The date of three non-empty name segments, which parses full or not
+    at all."""
     try:
-        date = parse_partial_date(".".join(segments))
+        return parse_partial_date(".".join(segments))
     except FormatError as exc:
         raise UnrecognizedName(f"{name!r}: {exc}") from None
-    if not date.is_full:
-        raise UnrecognizedName(f"{name!r}: date not full")
-    return date
 
 
 def parse_name(text: str) -> ExchangeName:
@@ -228,13 +225,9 @@ class IdRegistry:
         registry.entries = read_rows(registry.path, 4, _registry_row)
         return registry
 
-    def register(self, org: str, rtype: str, ident: str, date: PartialDate) -> bool:
+    def register(self, org: str, rtype: str, ident: str, date: PartialDate) -> None:
         """Record a first sighting; existing entries are never touched."""
-        key = (org, rtype, ident)
-        if key in self.entries:
-            return False
-        self.entries[key] = date
-        return True
+        self.entries.setdefault((org, rtype, ident), date)
 
     def save(self) -> None:
         if self.path is None:
@@ -257,7 +250,6 @@ class SessionIssue:
 @dataclass
 class SessionReport:
     issues: list[SessionIssue]
-    registered: int = 0
 
     @property
     def ok(self) -> bool:
@@ -314,12 +306,10 @@ def check_session(files: list[tuple[ExchangeName, RecordSet]],
                     "type-drift",
                     f"{key.id} sent as {key.kind} but registered as {listed}"))
 
-    registered = 0
     if not issues:
         for name, sub in files:
             for key in sorted(sub.records):
-                if registry.register(name.organization, key.kind, key.id, name.date):
-                    registered += 1
+                registry.register(name.organization, key.kind, key.id, name.date)
         if registry.path is not None:
             registry.save()
-    return SessionReport(issues=issues, registered=registered)
+    return SessionReport(issues=issues)

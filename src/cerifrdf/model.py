@@ -45,18 +45,16 @@ class TranslationType(Enum):
     MACHINE = "M"
 
 
-def normalize_translation_code(token: str,
-                               warnings: list[str] | None = None) -> TranslationType:
+def normalize_translation_code(token: str, warnings: list[str]) -> TranslationType:
     """Map a one-letter translation-type code to its enum value.
 
     The digit '0' is accepted as a legacy spelling of 'O'; when that happens a
-    note is appended to *warnings* if a list was supplied.  Anything else
-    outside O/H/M raises UnknownCode.
+    note is appended to *warnings*.  Anything else outside O/H/M raises
+    UnknownCode.
     """
     tok = token.strip()
     if tok == "0":
-        if warnings is not None:
-            warnings.append("translation code '0' normalized to O (original)")
+        warnings.append("translation code '0' normalized to O (original)")
         return TranslationType.ORIGINAL
     try:
         return TranslationType(tok.upper())

@@ -66,10 +66,12 @@ CERIF_NS = "http://derpi.tuwien.ac.at/~andrei/cerif-rdf#"
 _RDF_BAG = f"{{{RDF_NS}}}Bag"
 _RDF_LI = f"{{{RDF_NS}}}li"
 
-# Accepted alternative spellings of canonical element names.  The canonical
-# column follows the worked record examples; the alternatives cover the
-# tabular naming style and a few attested one-off variants.  Every element
-# named in the field table is canonical, with or without alternatives.
+# Accepted alternative spellings of record kinds and field containers.  The
+# canonical column follows the worked record examples; the alternatives cover
+# the tabular naming style and a few attested one-off variants.  Elements
+# inside a bag item are not looked up here: each rdf:li's element is taken by
+# its position, and its children by a rule on their local name (see the
+# _parse_* item readers), so their spelling decides nothing.
 _ALIASES: dict[str, tuple[str, ...]] = {
     "project": ("project.project",),
     "person": ("person.person",),
@@ -80,44 +82,17 @@ _ALIASES: dict[str, tuple[str, ...]] = {
     "proj_uri": ("proj_url", "project.uri"),
     "proj_prizeaward": ("proj_prize_award", "project.prizeawards", "project.prizeaward"),
     "project-titles": ("project.project-titles",),
-    "Project-title": ("project.project-title",),
-    "proj_title_trans_type": ("proj_title_transl_type",),
     "project-abstracts": ("project.project-abstracts",),
-    "Project-abstract": ("project.project-abstract",),
-    "proj_abs_trans_type": ("proj_abs_transl_type",),
-    "proj_abstract": ("proj-abstract",),
     "project-keywords": ("project.project-keywords",),
-    "Project-keyword": ("project.project-keyword",),
-    "proj_keywords": ("project.keywords",),
     "project-relations": ("project.project-relations",),
-    "Project-relation": ("project.project-relation",),
 }
 
-_CANONICAL = (*RECORD_CLASSES, "relations", "relation", "rel.role", "rel.mandatory",
-              *(name for table in RECORD_FIELDS.values() for spec in table
-                for name in (spec.element, *spec.parts)))
+_CANONICAL = (*RECORD_CLASSES, "relations",
+              *(spec.element for table in RECORD_FIELDS.values() for spec in table))
 _ALIAS_LOOKUP: dict[str, str] = {name.lower(): name for name in _CANONICAL}
 for _canonical, _variants in _ALIASES.items():
     for _v in _variants:
         _ALIAS_LOOKUP[_v.lower()] = _canonical
-
-
-def resolve_alias(name: str) -> tuple[str, bool]:
-    """Return the canonical spelling for a cerif element name.
-
-    The result is (canonical, known).  Unknown names come back unchanged with
-    known=False so callers can warn without losing the original spelling.
-    Relation endpoint elements are recognized structurally because the record
-    type is part of the name.
-    """
-    lowered = name.lower()
-    hit = _ALIAS_LOOKUP.get(lowered)
-    if hit is not None:
-        return hit, True
-    for prefix in ("rel.from.", "rel.to."):
-        if lowered.startswith(prefix) and lowered[len(prefix):] in RECORD_TYPES:
-            return lowered, True
-    return name, False
 
 
 @dataclass(eq=False)
@@ -212,8 +187,9 @@ def _split_tag(tag: str) -> tuple[str | None, str]:
 @lru_cache(maxsize=1024)  # tags come from the input, so the cache is bounded
 def _cerif_tag(tag: str, cerif_ns: str) -> tuple[str, str, bool] | None:
     """(local name, canonical spelling, whether it came bare) of a cerif
-    element tag, or None for a tag in another namespace.  A bare tag is the
-    'cerif.x' spelling without a namespace, read as cerif:x."""
+    element tag, or None for a tag in another namespace.  A name that spells
+    no record kind or field container comes back as it stands.  A bare tag
+    is the 'cerif.x' spelling without a namespace, read as cerif:x."""
     uri, local = _split_tag(tag)
     if uri == cerif_ns:
         bare = False
@@ -221,7 +197,7 @@ def _cerif_tag(tag: str, cerif_ns: str) -> tuple[str, str, bool] | None:
         local, bare = local[len("cerif."):], True
     else:
         return None
-    return local, resolve_alias(local)[0], bare
+    return local, _ALIAS_LOOKUP.get(local.lower(), local), bare
 
 
 def _cerif_local(tag: str, cerif_ns: str,

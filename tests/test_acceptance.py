@@ -258,7 +258,9 @@ def test_criterion_10_sessions(tmp_path):
 
     registry = IdRegistry(tmp_path / "registry.tsv")
     first = check_session(files, registry)
-    assert first.ok and first.registered == 2
+    assert first.ok
+    assert registry.entries == {("TUWIEN", "person", "273"): D(2001, 6, 6),
+                                ("TUWIEN", "project", "E015-01-08"): D(2001, 6, 6)}
 
     drifted = RecordSet()
     drifted.add(Project(

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cerifrdf.cli import main
 from cerifrdf.errors import (
     FormatError,
     InvariantViolation,
@@ -32,6 +33,7 @@ from cerifrdf.rdfxml import RecordSet
 from cerifrdf.validation import validate_record
 
 import randgen
+from conftest import DATA_DIR
 
 D = PartialDate
 
@@ -255,16 +257,37 @@ def test_plan_session_needs_full_date():
         plan_session(sample_set(), "TUWIEN", D(2001, 6, 6), ExchangeKind.ANNUAL)
 
 
+@pytest.mark.parametrize("org, refusal", [
+    ("", "empty organization token"),
+    ("TU WIEN", "organization token 'TU WIEN' must not contain whitespace"),
+], ids=["empty", "space"])
+@pytest.mark.parametrize("command", [
+    ["package", str(DATA_DIR / "project_e015.rdf"), "--mode", "per-object"],
+    ["convert-sgml", str(DATA_DIR / "fodok_record.sgml")],
+], ids=["package", "convert-sgml"])
+def test_senders_refuse_an_unusable_org_before_the_first_file(tmp_path, capsys,
+                                                              command, org, refusal):
+    out = tmp_path / "out"
+    code = main([*command, "--org", org, "--date", "06.06.2001", "--out", str(out)])
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert code == 2
+    assert errors == [f"error: {refusal}"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # id registry
 
 def test_registry_round_trip(tmp_path):
     path = tmp_path / "registry.tsv"
     reg = IdRegistry(path)
-    assert reg.register("TUWIEN", "project", "E015-01-08", D(2001, 6, 6))
-    assert reg.register("TUWIEN", "person", "273", D(2001, 6, 6))
+    reg.register("TUWIEN", "project", "E015-01-08", D(2001, 6, 6))
+    reg.register("TUWIEN", "person", "273", D(2001, 6, 6))
     # re-registration never moves the first-seen date
-    assert not reg.register("TUWIEN", "project", "E015-01-08", D(2002, 1, 1))
+    reg.register("TUWIEN", "project", "E015-01-08", D(2002, 1, 1))
+    assert reg.entries == {("TUWIEN", "project", "E015-01-08"): D(2001, 6, 6),
+                           ("TUWIEN", "person", "273"): D(2001, 6, 6)}
     reg.save()
     lines = path.read_text("utf-8").splitlines()
     assert lines == [
@@ -299,6 +322,15 @@ def test_registry_load_rejects_a_key_listed_twice(tmp_path):
                               "is listed twice")
 
 
+def test_registry_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "registry.tsv"
+    path.write_text("\nTUWIEN\tperson\t273\t06.06.2001\n \t \n\n"
+                    "TUWIEN\tproject\tE015-01-08\t01.02.2000\n\n", "utf-8")
+    assert IdRegistry.load(path).entries == {
+        ("TUWIEN", "person", "273"): D(2001, 6, 6),
+        ("TUWIEN", "project", "E015-01-08"): D(2000, 2, 1)}
+
+
 def test_registry_missing_file_is_empty(tmp_path):
     reg = IdRegistry.load(tmp_path / "absent.tsv")
     assert reg.entries == {}
@@ -319,10 +351,15 @@ def test_clean_session_registers(tmp_path):
                          ExchangeKind.PER_OBJECT)
     report = check_session(files, registry)
     assert report.ok
-    assert report.registered == 2
+    first_seen = {("TUWIEN", "person", "273"): D(2001, 6, 6),
+                  ("TUWIEN", "project", "E015-01-08"): D(2001, 6, 6)}
+    assert registry.entries == first_seen
     assert path.exists()
-    again = check_session(files, IdRegistry.load(path))
-    assert again.ok and again.registered == 0
+    # a later session of the same records keeps their first-seen dates
+    later = plan_session(sample_set(), "TUWIEN", D(2002, 1, 1), ExchangeKind.PER_OBJECT)
+    again = check_session(later, IdRegistry.load(path))
+    assert again.ok
+    assert IdRegistry.load(path).entries == first_seen
 
 
 def test_duplicate_in_session_flagged():
@@ -332,9 +369,10 @@ def test_duplicate_in_session_flagged():
                           "person", "273-copy")
     sub = RecordSet()
     sub.add(Person(id="273", family_names="Niedermayer"))
-    report = check_session([(name_a, sub), (name_b, sub)], IdRegistry())
+    registry = IdRegistry()
+    report = check_session([(name_a, sub), (name_b, sub)], registry)
     assert [i.code for i in report.issues] == ["duplicate-in-session"]
-    assert report.registered == 0
+    assert registry.entries == {}
 
 
 def test_missing_relation_copy_flagged():

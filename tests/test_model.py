@@ -175,24 +175,26 @@ def test_semicolon_lists_round_trip():
 # translation codes
 
 def test_translation_codes():
-    assert normalize_translation_code("O") is TranslationType.ORIGINAL
-    assert normalize_translation_code("h") is TranslationType.HUMAN
-    assert normalize_translation_code(" M ") is TranslationType.MACHINE
+    warnings = []
+    assert normalize_translation_code("O", warnings) is TranslationType.ORIGINAL
+    assert normalize_translation_code("h", warnings) is TranslationType.HUMAN
+    assert normalize_translation_code(" M ", warnings) is TranslationType.MACHINE
+    assert warnings == []
 
 
 def test_zero_translation_code_warns():
     warnings = []
     assert normalize_translation_code("0", warnings) is TranslationType.ORIGINAL
-    assert len(warnings) == 1 and "0" in warnings[0]
-    # without a warning list the value is still accepted
-    assert normalize_translation_code("0") is TranslationType.ORIGINAL
+    assert warnings == ["translation code '0' normalized to O (original)"]
 
 
 def test_unknown_translation_code_raises():
+    warnings = []
     with pytest.raises(UnknownCode):
-        normalize_translation_code("X")
+        normalize_translation_code("X", warnings)
     with pytest.raises(UnknownCode):
-        normalize_translation_code("")
+        normalize_translation_code("", warnings)
+    assert warnings == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the CERIF-RDF reader and writer, golden files included."""
 
 import random
+import re
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -26,7 +27,6 @@ from cerifrdf.rdfxml import (
     RecordSet,
     parse_document,
     parse_with_duplicates,
-    resolve_alias,
     serialize_document,
 )
 
@@ -119,35 +119,122 @@ def test_golden_orgunit_quirks(golden_orgunit_text):
 
 
 # ---------------------------------------------------------------------------
-# alias resolution
+# alias spellings
 
-@pytest.mark.parametrize("name,canonical", [
+# (spelling, canonical spelling it stands for).  Record kinds and field
+# containers are looked up in rdfxml._ALIASES; item and inner elements are
+# read by position and by rules on their names, so their aliases need no
+# table entry but must still read as the canonical spelling does.
+SPELLINGS = [
     ("proj_status", "proj_status"),
     ("Project.Status", "proj_status"),
+    ("project.status", "proj_status"),
     ("proj_start_date", "proj_startdate"),
     ("project.startdate", "proj_startdate"),
+    ("proj_end_date", "proj_enddate"),
+    ("project.enddate", "proj_enddate"),
     ("PROJ_URL", "proj_uri"),
+    ("project.uri", "proj_uri"),
+    ("proj_prize_award", "proj_prizeaward"),
+    ("project.prizeawards", "proj_prizeaward"),
+    ("project.prizeaward", "proj_prizeaward"),
     ("project.project", "project"),
+    ("project.project-titles", "project-titles"),
     ("project.project-title", "Project-title"),
     ("proj_title_transl_type", "proj_title_trans_type"),
+    ("project.project-abstracts", "project-abstracts"),
+    ("project.project-abstract", "Project-abstract"),
+    ("proj_abs_transl_type", "proj_abs_trans_type"),
     ("proj-abstract", "proj_abstract"),
+    ("project.project-keywords", "project-keywords"),
+    ("project.project-keyword", "Project-keyword"),
     ("project.keywords", "proj_keywords"),
+    ("project.project-relations", "project-relations"),
+    ("project.project-relation", "Project-relation"),
     ("person.person", "person"),
     ("orgunit.orgunit", "orgunit"),
-])
-def test_resolve_alias_table(name, canonical):
-    assert resolve_alias(name) == (canonical, True)
+]
 
 
-def test_resolve_alias_relation_endpoints():
-    assert resolve_alias("rel.from.person") == ("rel.from.person", True)
-    assert resolve_alias("Rel.To.Orgunit") == ("rel.to.orgunit", True)
-    assert resolve_alias("rel.from.committee") == ("rel.from.committee", False)
+def spelling_document() -> str:
+    """A canonical document holding every element SPELLINGS names, with an
+    empty item in each bag and a repeated proj_uri, so that the warnings
+    naming a bag or a field are compared too."""
+    project = RecordKey("project", "P1")
+    rs = RecordSet()
+    rs.add(Project(
+        id="P1",
+        status=ProjectStatus.EXECUTION,
+        start=PartialDate(2000, 2),
+        end=PartialDate(2001, 12, 31),
+        uri="http://p1.example.org",
+        prize_awards=("Prize", "Award"),
+        titles=(TranslatedText("en", TranslationType.HUMAN, "Title"),),
+        abstracts=(TranslatedText("de", TranslationType.ORIGINAL, "Abstrakt"),),
+        keywords=(TranslatedText("en", TranslationType.MACHINE, "CRIS"),),
+        relations=(Relation(project, RecordKey("person", "273"), role="contact"),),
+    ))
+    rs.add(Person(id="273", family_names="Niedermayer"))
+    rs.add(OrgUnit(id="OU", names=(TranslatedText("de", TranslationType.ORIGINAL, "Institut"),)))
+    uri = "<cerif:proj_uri>http://p1.example.org</cerif:proj_uri>"
+    text = serialize_document(rs).replace("<rdf:Bag>", "<rdf:Bag><rdf:li/>")
+    return text.replace(uri, uri + uri)
 
 
-def test_resolve_alias_unknown_passes_through():
-    name = "proj_completely_new"
-    assert resolve_alias(name) == (name, False)
+@pytest.mark.parametrize("name,canonical", SPELLINGS)
+def test_alias_spelling_reads_as_canonical(name, canonical):
+    text = spelling_document()
+    respelled, count = re.subn(rf"(</?cerif:){re.escape(canonical)}(?=[\s/>])",
+                               lambda m: m.group(1) + name, text)
+    assert count > 0
+    rs, warnings = parse_document(text)
+    assert "project P1: duplicate proj_uri element, first one kept" in warnings
+    assert "project P1 titles: empty list item dropped" in warnings
+    again, respelled_warnings = parse_document(respelled)
+    assert again.records == rs.records
+    assert again.relations == rs.relations
+    assert respelled_warnings == warnings
+
+
+def test_relation_endpoint_spellings():
+    # an endpoint is read in any case, but only with a known record kind
+    doc = wrap(
+        '<cerif:project ID="P1"><cerif:project-relations><rdf:Bag>'
+        '<rdf:li><cerif:Project-relation><cerif:rel.from.project resource="P1"/>'
+        '<cerif:Rel.To.Orgunit resource="OU"/><cerif:Rel.Role>host</cerif:Rel.Role>'
+        '</cerif:Project-relation></rdf:li>'
+        '<rdf:li><cerif:Project-relation><cerif:rel.from.committee resource="C"/>'
+        '<cerif:rel.to.person resource="273"/><cerif:rel.role>member</cerif:rel.role>'
+        '</cerif:Project-relation></rdf:li>'
+        '</rdf:Bag></cerif:project-relations></cerif:project>')
+    rs, warnings = parse_document(doc)
+    project = RecordKey("project", "P1")
+    assert rs.records[project].relations == (
+        Relation(project, RecordKey("orgunit", "OU"), role="host"),)
+    assert warnings == ["relation endpoint with unknown type 'committee' ignored",
+                        "relation without both endpoints dropped"]
+
+
+def test_unknown_element_is_named_as_spelled():
+    # an item element is no field container where a field is read
+    doc = wrap('<cerif:project ID="P1">'
+               "<cerif:Proj_Completely_New>x</cerif:Proj_Completely_New>"
+               "<cerif:Project-Title>y</cerif:Project-Title>"
+               "</cerif:project>")
+    rs, warnings = parse_document(doc)
+    assert rs.records == {RecordKey("project", "P1"): Project(id="P1")}
+    assert warnings == ["project P1: unknown element cerif:Proj_Completely_New ignored",
+                        "project P1: unknown element cerif:Project-Title ignored"]
+
+
+def test_record_set_add_refuses_a_second_record_with_the_same_key():
+    rs = RecordSet()
+    rs.add(Person(id="273", family_names="Niedermayer"))
+    with pytest.raises(DuplicateId) as err:
+        rs.add(Person(id="273", family_names="Other"))
+    assert str(err.value) == "person 273 already present"
+    assert rs.records == {RecordKey("person", "273"): Person(id="273",
+                                                              family_names="Niedermayer")}
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,52 @@ def test_load_rejects_an_indexed_key_without_a_record_file(tmp_path):
                               "person:273; expected person.273.rdf")
 
 
+def test_load_skips_blank_index_lines(tmp_path):
+    store = built_store()
+    store.save(tmp_path)
+    index = tmp_path / INDEX_FILE
+    lines = index.read_text("utf-8").splitlines()
+    index.write_text("\n" + "\n \t\n".join(lines) + "\n\n", "utf-8")
+    loaded = Store.load(tmp_path)
+    assert loaded.current == store.current
+    assert loaded.relations == store.relations
+
+
+class _FailingHandle:
+    """A file handle whose every write raises, closing the real one on exit."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        raise OSError("injected write fault")
+
+
+@pytest.mark.parametrize("fails", ["write", "replace"])
+def test_write_atomic_leaves_the_old_file_when_it_fails(tmp_path, monkeypatch, fails):
+    target = tmp_path / INDEX_FILE
+    target.write_text("old\n", "utf-8")
+    if fails == "write":
+        fdopen = store_module.os.fdopen
+        monkeypatch.setattr(store_module.os, "fdopen",
+                            lambda *args, **kwargs: _FailingHandle(fdopen(*args, **kwargs)))
+    else:
+        def replace(src, dst):
+            raise OSError("injected replace fault")
+        monkeypatch.setattr(store_module.os, "replace", replace)
+    with pytest.raises(OSError, match=f"injected {fails} fault"):
+        store_module.write_atomic(target, "new\n")
+    monkeypatch.undo()
+    assert target.read_text("utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == [INDEX_FILE]
+
+
 # ---------------------------------------------------------------------------
 # incremental save
 
