@@ -261,26 +261,39 @@ def _read_bag(container: ET.Element, read_item, cerif_ns: str, warnings: list[st
     return tuple(value for value in values if value is not None)
 
 
+def _first(seen: set[str], slot: str, local: str, warnings: list[str],
+           where: str) -> bool:
+    """Whether cerif:*local* is the first element of its bag item to fill
+    *slot*; a later one is warned about, for its caller to ignore, so an
+    item keeps its first element as a record keeps its first field."""
+    if slot in seen:
+        warnings.append(f"{where}: repeated cerif:{local} in one item, first one kept")
+        return False
+    seen.add(slot)
+    return True
+
+
 def _parse_translated(item: ET.Element, cerif_ns: str, warnings: list[str],
                       where: str) -> TranslatedText:
     language = ""
     translation = None
     text = ""
-    have_text = False
+    seen: set[str] = set()
     for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         if "lang" in lowered:
-            language = _text_of(child).lower()
+            if _first(seen, "lang", local, warnings, where):
+                language = _text_of(child).lower()
         elif "trans" in lowered:
             token = _text_of(child)
-            if token:
+            if _first(seen, "trans", local, warnings, where) and token:
                 try:
                     translation = normalize_translation_code(token, warnings)
                 except UnknownCode as exc:
                     warnings.append(f"{where}: {exc}")
-        elif not have_text:
+        elif "text" not in seen:
             text = _text_of(child)
-            have_text = True
+            seen.add("text")
         else:
             warnings.append(f"{where}: second text element cerif:{local} ignored")
     return TranslatedText(language=language, translation=translation, text=text)
@@ -290,10 +303,12 @@ def _parse_skill(item: ET.Element, cerif_ns: str, warnings: list[str],
                  where: str) -> ExpertSkill:
     role: str | None = None
     skill = ""
+    seen: set[str] = set()
     for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         if local.lower().endswith(".role"):
-            role = _text_of(child) or None
-        else:
+            if _first(seen, "role", local, warnings, where):
+                role = _text_of(child) or None
+        elif _first(seen, "skill", local, warnings, where):
             skill = _text_of(child)
     return ExpertSkill(skill=skill, role=role)
 
@@ -301,14 +316,16 @@ def _parse_skill(item: ET.Element, cerif_ns: str, warnings: list[str],
 def _parse_contact(item: ET.Element, cerif_ns: str, warnings: list[str],
                    where: str) -> Contact:
     fields = {"telephone": None, "email": None, "uri": None}
+    seen: set[str] = set()
     for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         for name in fields:
             if lowered.endswith("." + name) or lowered == name:
-                fields[name] = _text_of(child) or None
+                if _first(seen, name, local, warnings, where):
+                    fields[name] = _text_of(child) or None
                 break
         else:
-            warnings.append(f"contact: unknown element cerif:{local} ignored")
+            warnings.append(f"{where}: unknown element cerif:{local} ignored")
     return Contact(**fields)
 
 
@@ -316,15 +333,18 @@ def _parse_ou_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
                        where: str) -> OuOuRelation | None:
     target = None
     role = ""
+    seen: set[str] = set()
     for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         if local.lower().endswith(".role"):
-            role = _text_of(child)
+            if _first(seen, "role", local, warnings, where):
+                role = _text_of(child)
         elif "resource" in child.attrib:
-            target = collapse_ws(child.attrib["resource"])
+            if _first(seen, "target", local, warnings, where):
+                target = collapse_ws(child.attrib["resource"])
         else:
-            warnings.append(f"ou_ou_relation: element cerif:{local} without resource ignored")
+            warnings.append(f"{where}: element cerif:{local} without resource ignored")
     if not target:
-        warnings.append("ou_ou_relation without a target dropped")
+        warnings.append(f"{where}: ou_ou_relation without a target dropped")
         return None
     return OuOuRelation(target=target, role=role)
 
@@ -335,29 +355,34 @@ def _parse_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
     target = None
     role = ""
     mandatory = False
+    seen: set[str] = set()
     for child, local, _ in _cerif_children(item, cerif_ns, warnings, where):
         lowered = local.lower()
         if lowered.startswith("rel.from.") or lowered.startswith("rel.to."):
+            end = "from" if lowered.startswith("rel.from.") else "to"
             kind = lowered.rsplit(".", 1)[1]
             if kind not in RECORD_TYPES:
-                warnings.append(f"relation endpoint with unknown type {kind!r} ignored")
+                warnings.append(f"{where}: relation endpoint with unknown type {kind!r} "
+                                "ignored")
                 continue
             ident = collapse_ws(child.attrib.get("resource", ""))
             if not ident:
-                warnings.append("relation endpoint without resource ignored")
-                continue
-            if lowered.startswith("rel.from."):
-                source = RecordKey(kind, ident)
-            else:
-                target = RecordKey(kind, ident)
+                warnings.append(f"{where}: relation endpoint without resource ignored")
+            elif _first(seen, end, local, warnings, where):
+                if end == "from":
+                    source = RecordKey(kind, ident)
+                else:
+                    target = RecordKey(kind, ident)
         elif lowered.endswith(".role"):
-            role = _text_of(child)
+            if _first(seen, "role", local, warnings, where):
+                role = _text_of(child)
         elif lowered.endswith(".mandatory"):
-            mandatory = _text_of(child).lower() in ("true", "1", "yes")
+            if _first(seen, "mandatory", local, warnings, where):
+                mandatory = _text_of(child).lower() in ("true", "1", "yes")
         else:
-            warnings.append(f"relation: unknown element cerif:{local} ignored")
+            warnings.append(f"{where}: unknown element cerif:{local} ignored")
     if source is None or target is None:
-        warnings.append("relation without both endpoints dropped")
+        warnings.append(f"{where}: relation without both endpoints dropped")
         return None
     return Relation(source=source, target=target, role=role, mandatory=mandatory)
 

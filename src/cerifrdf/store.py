@@ -27,7 +27,22 @@ which keys merge has changed since; a save back to that directory under that
 namespace writes only those records' files, and the relation file only when
 the relation set grew.  Unchanged records keep the file bytes they were
 loaded from; load counts a record as changed when it found it outside its
-own file or read it with warnings.  Any other target gets every file.
+own file or parsed it with warnings.  Any other target gets every file.
+
+A save also writes _snapshot.jsonl (see the snapshot module), a derived
+copy of what each record file holds, keyed by the blake2b-128 digest of the
+file's bytes.  Load still reads and hashes every record file, but takes a
+file whose name and digest a snapshot line under the load's namespace
+names, and which holds exactly its own key (or, for _relations.rdf, only
+relations), from that line instead of parsing it; any other file is parsed
+as before, with the same refusals, and a missing, torn, foreign or mistyped
+snapshot or line only means more parsing.  So while the snapshot matches,
+load gives back each record exactly as it was saved, even one built through
+the API in a form the reader would normalize (Person(family_names="  a  b ")
+parses as "a b"); parsed, it gives what the reader makes of the file.  The
+snapshot carries the same trust as the record files it describes, and a
+digest of each file's bytes is right whatever an interrupted save left
+behind.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ import os
 import re
 import tempfile
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -57,11 +73,13 @@ from .model import (
 )
 from .rdfxml import (CERIF_NS, RecordSet, check_namespace, parse_document,
                      serialize_document, writer_faults)
+from .snapshot import SnapshotReader, file_digest, snapshot_lines
 
 Triple = tuple[str, str, str]
 
 INDEX_FILE = "provenance.index"
 RELATIONS_FILE = "_relations.rdf"
+SNAPSHOT_FILE = "_snapshot.jsonl"
 
 
 def read_utf8(path: Path) -> str:
@@ -94,13 +112,18 @@ def read_rows(path: Path, width: int, read_row) -> dict:
     return rows
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
     """Replace *path* with *text* through a temporary file in the same
-    directory, so readers see the old content or the new, never a mix."""
+    directory, so readers see the old content or the new, never a mix.
+    *text* may also be an iterable of strings, written one at a time, so a
+    long file is never built as one string."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            if isinstance(text, str):
+                handle.write(text)
+            else:
+                handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -240,6 +263,15 @@ def _record_file(key: RecordKey) -> str:
     return f"{key.kind}.{key.id}.rdf"
 
 
+def _own_file(name: str, rs: RecordSet) -> bool:
+    """Whether *rs* is what store file *name* holds when a save wrote it:
+    exactly that file's one record, or, in _relations.rdf, only relations."""
+    if rs.records:
+        return (not rs.relations and len(rs.records) == 1
+                and name == _record_file(next(iter(rs.records))))
+    return name == RELATIONS_FILE
+
+
 def _endpoint_match(value: str, terms: frozenset[str]) -> bool:
     """A subject or object matches a term as a whole or by the part after
     its first ':', so "P1" finds "project:P1" and "//x" finds "http://x"."""
@@ -328,6 +360,12 @@ class Store:
         self._on_disk: tuple[Path, str] | None = None
         self._changed: set[RecordKey] = set()
         self._relations_changed = False
+        # what _on_disk's files hold besides: the digest of each unchanged
+        # key's file and of an unchanged _relations.rdf, and whether its
+        # snapshot describes exactly those files and records
+        self._digests: dict[RecordKey, bytes] = {}
+        self._relations_digest: bytes | None = None
+        self._snapshot_whole = False
 
     @property
     def current(self) -> MappingProxyType[RecordKey, tuple[Record, Provenance]]:
@@ -415,21 +453,24 @@ class Store:
     # -- persistence --------------------------------------------------------
 
     def save(self, directory: str | os.PathLike, *, cerif_ns: str = CERIF_NS) -> None:
-        """Write one canonical file per current record plus the provenance
-        index; stale record files from earlier saves are removed and the
-        index is written last.  Gathered records need not be complete: only
-        an identifier that cannot name a file, what rdfxml.writer_faults
-        finds in the records and relations the save would write and a
-        namespace rdfxml.check_namespace refuses raise, before anything is
-        written.
+        """Write one canonical file per current record, the snapshot and the
+        provenance index; stale record files from earlier saves are removed
+        and the index is written last.  Gathered records need not be
+        complete: only an identifier that cannot name a file, what
+        rdfxml.writer_faults finds in the records and relations the save
+        would write and a namespace rdfxml.check_namespace refuses raise,
+        before anything is written.
 
         Saved back to the directory the store was loaded from or last saved
         to, under the same namespace, only the records that merge changed
-        since are written, and _relations.rdf only when the relation set
-        grew; unchanged records keep the bytes they were loaded with.  Any
-        other directory or namespace gets every file.  What is marked
-        changed is forgotten only once the index is written, so a save that
-        raises part way loses nothing for the next one.
+        since are written, _relations.rdf only when the relation set grew,
+        and _snapshot.jsonl only when a file was written or removed or the
+        snapshot is missing or does not describe the files; unchanged
+        records keep the bytes they were loaded with.  Any other directory
+        or namespace gets every file.  What is marked changed, and the
+        digests remembered for the snapshot, change only once the index is
+        written, so a save that raises part way loses nothing for the next
+        one.
         """
         keys = sorted(self._current)
         for key in keys:
@@ -450,15 +491,28 @@ class Store:
         root.mkdir(parents=True, exist_ok=True)
         expected = {RELATIONS_FILE} if self._relations else set()
         expected.update(map(_record_file, keys))
+        digests = {} if write_all else dict(self._digests)
+        relations_digest = None if write_all else self._relations_digest
         for key, record in pending.records.items():
-            (root / _record_file(key)).write_text(serialize_document(
-                RecordSet(records={key: record}), cerif_ns=cerif_ns), "utf-8")
+            data = serialize_document(RecordSet(records={key: record}),
+                                      cerif_ns=cerif_ns).encode("utf-8")
+            (root / _record_file(key)).write_bytes(data)
+            digests[key] = file_digest(data)
         if pending.relations:
-            (root / RELATIONS_FILE).write_text(serialize_document(
-                RecordSet(relations=pending.relations), cerif_ns=cerif_ns), "utf-8")
+            data = serialize_document(RecordSet(relations=pending.relations),
+                                      cerif_ns=cerif_ns).encode("utf-8")
+            (root / RELATIONS_FILE).write_bytes(data)
+            relations_digest = file_digest(data)
+        swept = False
         for path in root.glob("*.rdf"):
             if path.name not in expected:
                 path.unlink()
+                swept = True
+        snapshot = root / SNAPSHOT_FILE
+        if (write_all or pending.records or pending.relations or swept
+                or not self._snapshot_whole or not snapshot.exists()):
+            write_atomic(snapshot, snapshot_lines(cerif_ns, self._snapshot_files(
+                keys, digests, relations_digest)))
 
         lines = []
         for key in keys:
@@ -469,6 +523,23 @@ class Store:
         self._on_disk = target
         self._changed.clear()
         self._relations_changed = False
+        self._digests, self._relations_digest = digests, relations_digest
+        self._snapshot_whole = True
+
+    def _snapshot_files(self, keys, digests: dict[RecordKey, bytes],
+                        relations_digest: bytes | None):
+        """(name, digest, records, relations) of each file a save leaves,
+        in name order."""
+        files = [(_record_file(key), key) for key in keys]
+        if self._relations:
+            files.append((RELATIONS_FILE, None))
+        files.sort()  # by name alone, as names are unique
+        for name, key in files:
+            if key is None:
+                yield name, relations_digest, (), sorted(self._relations,
+                                                         key=Relation.sort_key)
+            else:
+                yield name, digests[key], (self._current[key][0],), ()
 
     @classmethod
     def load(cls, directory: str | os.PathLike, *,
@@ -480,11 +551,15 @@ class Store:
         index does not list and an indexed key that no record file holds
         raise FormatError.
 
-        A record read from anything but its own kind.id.rdf file holding
-        nothing else, relations read from anything but _relations.rdf
-        holding no record, and whatever a file gave with reader warnings are
-        marked changed: the next save into this directory writes them in
-        their canonical file and form, as a save of every file would.
+        A file the snapshot holds, by name and digest (see the module
+        docstring), gives the records saved into it and counts as unchanged:
+        its bytes are what the serializer wrote for that very record.  Of a
+        file that is parsed instead, a record read from anything but its own
+        kind.id.rdf file holding nothing else, relations read from anything
+        but _relations.rdf holding no record, and whatever the file gave
+        with reader warnings are marked changed: the next save into this
+        directory writes them in their canonical file and form, as a save of
+        every file would.
         """
         root = Path(directory)
         store = cls()
@@ -493,30 +568,41 @@ class Store:
             return store
         provenance = read_rows(index_path, 4, _index_row)
         held_in: dict[RecordKey, str] = {}
-        for path in sorted(root.glob("*.rdf"), key=lambda p: p.name):
-            with located(path.name):
-                rs, warnings = parse_document(path.read_bytes(), cerif_ns=cerif_ns)
-            if warnings:
-                own_file = False
-            elif rs.records:
-                own_file = (not rs.relations and len(rs.records) == 1
-                            and path.name == _record_file(next(iter(rs.records))))
-            else:
-                own_file = path.name == RELATIONS_FILE
-            store._relations.update(rs.relations)
-            store._relations_changed |= bool(rs.relations) and not own_file
-            for key, record in rs.records.items():
-                if key in held_in:
-                    raise FormatError(f"{key} is held by two record files, "
-                                      f"{held_in[key]} and {path.name}")
-                prov = provenance.pop(str(key), None)
-                if prov is None:
-                    raise FormatError(f"{path.name}: no provenance index entry "
-                                      f"for {key}")
-                held_in[key] = path.name
-                store._current[key] = (record, prov)
-                if not own_file:
-                    store._changed.add(key)
+        paths = sorted(root.glob("*.rdf"), key=lambda p: p.name)
+        hits = 0
+        with SnapshotReader(root / SNAPSHOT_FILE, cerif_ns) as snapshot:
+            for path in paths:
+                data = path.read_bytes()
+                digest = file_digest(data)
+                rs = snapshot.take(path.name, digest)
+                own_file = rs is not None and _own_file(path.name, rs)
+                if own_file:
+                    hits += 1
+                else:
+                    with located(path.name):
+                        rs, warnings = parse_document(data, cerif_ns=cerif_ns)
+                    own_file = not warnings and _own_file(path.name, rs)
+                store._relations.update(rs.relations)
+                if rs.relations:
+                    if own_file:
+                        store._relations_digest = digest
+                    else:
+                        store._relations_changed = True
+                for key, record in rs.records.items():
+                    if key in held_in:
+                        raise FormatError(f"{key} is held by two record files, "
+                                          f"{held_in[key]} and {path.name}")
+                    prov = provenance.pop(str(key), None)
+                    if prov is None:
+                        raise FormatError(f"{path.name}: no provenance index entry "
+                                          f"for {key}")
+                    held_in[key] = path.name
+                    store._current[key] = (record, prov)
+                    if own_file:
+                        store._digests[key] = digest
+                    else:
+                        store._changed.add(key)
+            store._snapshot_whole = snapshot.whole and hits == len(paths)
         if provenance:
             subject = min(provenance)
             kind, _, ident = subject.partition(":")

@@ -81,6 +81,8 @@ RECOVERY_TESTS = [
     "test_empty_id_raises",
     "test_mixed_content_text_and_empty_scalars",
     "test_round_trip_random_sets",
+    "test_item_warnings_name_their_record",
+    "test_a_repeated_element_in_an_item_keeps_the_first",
 ]
 
 

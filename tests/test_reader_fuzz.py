@@ -3,17 +3,20 @@
 Byte flips, truncations and tag splices of the golden documents and of
 serialized random sets, valid and flawed.  Each mutant must parse or raise a
 CerifError, and streaming it a chunk at a time must give what the whole
-parse gives.  The seeds are fixed and were not chosen for their outcome.
+parse gives.  Every record a mutant parses to, and its document relations,
+must read back as written when the writer accepts them.  The seeds are
+fixed and were not chosen for their outcome.
 """
 
 import random
 import re
 
 from cerifrdf.errors import CerifError, DuplicateId, MissingId, XmlError
-from cerifrdf.rdfxml import serialize_document
+from cerifrdf.rdfxml import RecordSet, serialize_document
 
 import randgen
 from conftest import DATA_DIR
+from test_rdfxml import assert_each_record_reads_back
 from test_rdfxml_stream import GOLDEN, assert_streams
 
 _TAG = re.compile(rb"<[^<>]*>")
@@ -77,5 +80,9 @@ def test_mutants_parse_or_refuse_the_same_whole_and_streamed():
             results = assert_streams(mutant, chunk=rng.choice((7, 64, 509)))
             kinds.update(result[0] if isinstance(result[0], type) else "parsed"
                          for result in results)
+            for result in results:
+                if not isinstance(result[0], type):
+                    assert_each_record_reads_back(RecordSet(dict(result[0]), result[1]))
     # the mutants reach every refusal of the reader, not only its happy path
     assert kinds == {"parsed", XmlError, MissingId, DuplicateId}
+

@@ -9,7 +9,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 
 from cerifrdf import store as store_module
-from cerifrdf.errors import FormatError, InvariantViolation
+from cerifrdf.errors import CerifError, FormatError, InvariantViolation
 from cerifrdf.model import (
     Contact,
     ExpertSkill,
@@ -28,6 +28,7 @@ from cerifrdf.rdfxml import CERIF_NS, RecordSet, parse_document, serialize_docum
 from cerifrdf.store import (
     INDEX_FILE,
     RELATIONS_FILE,
+    SNAPSHOT_FILE,
     EquivalenceMap,
     Provenance,
     SourceKind,
@@ -363,10 +364,15 @@ def test_save_layout(tmp_path):
     built_store().save(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         RELATIONS_FILE,
+        SNAPSHOT_FILE,
         "orgunit.TUWIEN.rdf",
         "person.273.rdf",
         INDEX_FILE,
     ]
+    snapshot = (tmp_path / SNAPSHOT_FILE).read_text("utf-8").splitlines()
+    assert [line.split(",", 1)[0] for line in snapshot] == [
+        '["cerifrdf-snapshot/1"', f'["{RELATIONS_FILE}"', '["orgunit.TUWIEN.rdf"',
+        '["person.273.rdf"']
     index = (tmp_path / INDEX_FILE).read_text("utf-8")
     assert index == ("orgunit:TUWIEN\ttuwien\t06.06.2001\tper-object\n"
                      "person:273\ttuwien\t06.06.2001\tper-object\n")
@@ -390,7 +396,7 @@ def test_save_removes_stale_files(tmp_path):
     smaller.merge(rs, prov("tuwien", D(2001, 6, 7), SourceKind.PER_OBJECT))
     smaller.save(tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "orgunit.TUWIEN.rdf", INDEX_FILE]
+        SNAPSHOT_FILE, "orgunit.TUWIEN.rdf", INDEX_FILE]
     loaded = Store.load(tmp_path)
     assert loaded.current == smaller.current
     assert loaded.relations == frozenset()
@@ -572,11 +578,43 @@ def untargeted(store: Store) -> list[RecordKey]:
                   and any(not rel.target for rel in record.ou_relations))
 
 
+def load_without_snapshot(directory, ns: str = CERIF_NS) -> Store:
+    """Store.load of *directory* with its snapshot set aside, so that every
+    record file is parsed."""
+    snapshot = Path(directory) / SNAPSHOT_FILE
+    kept = snapshot.read_bytes() if snapshot.exists() else None
+    snapshot.unlink(missing_ok=True)
+    try:
+        return Store.load(directory, cerif_ns=ns)
+    finally:
+        if kept is not None:
+            snapshot.write_bytes(kept)
+
+
+def load_outcome(directory, ns: str = CERIF_NS, *, snapshot: bool = True):
+    """(current map, relations) of Store.load of *directory*, or (error type,
+    message) of its refusal; without *snapshot*, the snapshot is set aside so
+    that every record file is parsed."""
+    try:
+        store = (Store.load(directory, cerif_ns=ns) if snapshot
+                 else load_without_snapshot(directory, ns))
+    except CerifError as exc:
+        return type(exc), str(exc)
+    return dict(store.current), store.relations
+
+
+def load_alike(directory, ns: str = CERIF_NS):
+    """load_outcome of *directory*, checked to be what a load that parses
+    every record file gives: the same current map, provenance and relations,
+    or the same refusal."""
+    loaded = load_outcome(directory, ns)
+    assert loaded == load_outcome(directory, ns, snapshot=False)
+    return loaded
+
+
 def assert_saved(store: Store, directory, ns: str, fresh) -> None:
     assert files_in(directory) == full_save(store, fresh, ns)
-    loaded = Store.load(directory, cerif_ns=ns)
-    assert loaded.current == store.current
-    assert loaded.relations == store.relations
+    assert load_alike(directory, ns) == (store.current, store.relations)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -620,17 +658,17 @@ def test_each_save_leaves_what_a_full_save_writes(tmp_path, seed):
 def recorded_writes(monkeypatch) -> list[str]:
     """Names of the files each later save writes, in order."""
     written = []
-    write_text, write_atomic = Path.write_text, store_module.write_atomic
+    write_bytes, write_atomic = Path.write_bytes, store_module.write_atomic
 
-    def recording_write_text(path, *args, **kwargs):
+    def recording_write_bytes(path, data):
         written.append(path.name)
-        return write_text(path, *args, **kwargs)
+        return write_bytes(path, data)
 
     def recording_write_atomic(path, text):
         written.append(path.name)
         write_atomic(path, text)
 
-    monkeypatch.setattr(Path, "write_text", recording_write_text)
+    monkeypatch.setattr(Path, "write_bytes", recording_write_bytes)
     monkeypatch.setattr(store_module, "write_atomic", recording_write_atomic)
     return written
 
@@ -646,9 +684,10 @@ def test_save_writes_only_the_records_that_changed(tmp_path, monkeypatch):
     store.merge(same, prov("tuwien", D(2001, 6, 8)))
     written = recorded_writes(monkeypatch)
     store.save(tmp_path)
-    assert written == ["person.273.rdf", INDEX_FILE]
+    assert written == ["person.273.rdf", SNAPSHOT_FILE, INDEX_FILE]
     assert Store.load(tmp_path).current == store.current
 
+    # nothing written or removed, and the snapshot still describes the files
     written.clear()
     store.save(tmp_path)
     assert written == [INDEX_FILE]
@@ -661,11 +700,12 @@ def test_save_writes_only_the_records_that_changed(tmp_path, monkeypatch):
     store.merge(grown, prov("tuwien", D(2001, 6, 8)))
     written.clear()
     store.save(tmp_path)
-    assert written == [RELATIONS_FILE, INDEX_FILE]
+    assert written == [RELATIONS_FILE, SNAPSHOT_FILE, INDEX_FILE]
 
     written.clear()
     store.save(tmp_path, cerif_ns=OTHER_NS)
-    assert written == ["orgunit.TUWIEN.rdf", "person.273.rdf", RELATIONS_FILE, INDEX_FILE]
+    assert written == ["orgunit.TUWIEN.rdf", "person.273.rdf", RELATIONS_FILE,
+                       SNAPSHOT_FILE, INDEX_FILE]
 
 
 def test_save_moves_records_out_of_a_shared_file(tmp_path):
@@ -684,9 +724,9 @@ def test_save_moves_records_out_of_a_shared_file(tmp_path):
 
 
 def test_a_save_that_fails_part_way_loses_nothing(tmp_path, monkeypatch):
-    """A file write, removal or index swap raises at step k; a clean save
-    into the loaded directory and into another one still writes exactly
-    what a full save does."""
+    """A file write, removal, snapshot swap or index swap raises at step k;
+    a clean save into the loaded directory and into another one still
+    writes exactly what a full save does."""
     base = built_store()
     person = RecordKey("person", "273")
     changes = RecordSet()
@@ -714,20 +754,25 @@ def test_a_save_that_fails_part_way_loses_nothing(tmp_path, monkeypatch):
             store.merge(changes, prov("tuwien", D(2001, 6, 7)))
             steps = itertools.count()
             with monkeypatch.context() as patch:
-                for owner, name in ((Path, "write_text"), (Path, "unlink"),
+                for owner, name in ((Path, "write_bytes"), (Path, "unlink"),
                                     (store_module, "write_atomic")):
                     patch.setattr(owner, name, faulty(getattr(owner, name)))
                 try:
                     store.save(home if fails_in == "home" else away)
                 except OSError:
                     failed = True
+            for directory in (home, away):
+                if (directory / INDEX_FILE).exists():
+                    load_alike(directory)
             for n, directory in enumerate((home, away)):
                 store.save(directory)
                 assert files_in(directory) == full_save(
                     store, tmp_path / f"{k}{fails_in}fresh{n}"), (k, fails_in)
         if not failed:
             break
-    assert k >= 5  # every step of the save was made to fail once
+    # three record files, one removal, the snapshot and the index: every
+    # step of the save was made to fail once
+    assert k == 6
 
 
 @pytest.mark.parametrize("fault", ["no role", "identical endpoints"])
