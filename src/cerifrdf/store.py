@@ -22,12 +22,14 @@ a pattern binds it.
 
 A gatherer merges the same sources again and again, so most records are
 unchanged between saves.  A store remembers the directory and namespace its
-files on disk describe (the ones it was loaded from or last saved to) and
-which keys merge has changed since; a save back to that directory under that
-namespace writes only those records' files, and the relation file only when
-the relation set grew.  Unchanged records keep the file bytes they were
-loaded from; load counts a record as changed when it found it outside its
-own file or parsed it with warnings.  Any other target gets every file.
+files on disk describe (the ones it was loaded from or last saved to) and the
+digest of each file there that holds what the store holds; a save back to
+that directory under that namespace writes only the records without a
+digest, which merge changed since, and the relation file only when it has
+none, as after the relation set grew.  Unchanged records keep the file bytes
+they were loaded from; load keeps no digest for a record it found outside
+its own file or parsed with warnings, nor for the relation file when a
+relation came from anywhere else.  Any other target gets every file.
 
 A save also writes _snapshot.jsonl (see the snapshot module), a derived
 copy of what each record file holds, keyed by the blake2b-128 digest of the
@@ -354,15 +356,13 @@ class Store:
         self._relations: set[Relation] = set()
         # built by the first query after a load or a merge; see _triple_view
         self._view: _TripleView | None = None
-        # (resolved directory, namespace) whose files hold every current
-        # record except the keys in _changed, and the relation set unless
-        # _relations_changed; set by load and by each save that completes
+        # (resolved directory, namespace) whose files the digests describe;
+        # set by load and by each save that completes
         self._on_disk: tuple[Path, str] | None = None
-        self._changed: set[RecordKey] = set()
-        self._relations_changed = False
-        # what _on_disk's files hold besides: the digest of each unchanged
-        # key's file and of an unchanged _relations.rdf, and whether its
-        # snapshot describes exactly those files and records
+        # the digest of the file of each key whose file holds its current
+        # record, and of _relations.rdf when it holds the relation set; a key
+        # or relation set without one must be written.  _snapshot_whole tells
+        # whether the snapshot describes exactly those files and records
         self._digests: dict[RecordKey, bytes] = {}
         self._relations_digest: bytes | None = None
         self._snapshot_whole = False
@@ -383,8 +383,8 @@ class Store:
         The version with the latest fetched date wins, then the greatest
         source, then the greatest repr(record), which is deterministic for
         these frozen dataclasses and breaks the pathological tie of equal
-        date and equal source; the other version is dropped.  A key is
-        marked for the next save when it is new or its winning record
+        date and equal source; the other version is dropped.  A key loses
+        its digest, so the next save writes it, when its winning record
         differs from the one it replaces; a newer fetch of equal content
         changes only the provenance index.
         """
@@ -396,7 +396,6 @@ class Store:
             held = self._current.get(key)
             if held is None:
                 self._current[key] = (record, prov)
-                self._changed.add(key)
                 continue
             held_record, held_prov = held
             held_fetched = held_prov.fetched.latest()
@@ -408,10 +407,11 @@ class Store:
             if rank > held_rank or (rank == held_rank and repr(record) > repr(held_record)):
                 self._current[key] = (record, prov)
                 if record != held_record:
-                    self._changed.add(key)
+                    self._digests.pop(key, None)
         size = len(self._relations)
         self._relations.update(rs.relations)
-        self._relations_changed |= len(self._relations) > size
+        if len(self._relations) > size:
+            self._relations_digest = None
         return warnings
 
     def _triple_view(self) -> _TripleView:
@@ -462,15 +462,14 @@ class Store:
         before anything is written.
 
         Saved back to the directory the store was loaded from or last saved
-        to, under the same namespace, only the records that merge changed
-        since are written, _relations.rdf only when the relation set grew,
-        and _snapshot.jsonl only when a file was written or removed or the
-        snapshot is missing or does not describe the files; unchanged
-        records keep the bytes they were loaded with.  Any other directory
-        or namespace gets every file.  What is marked changed, and the
-        digests remembered for the snapshot, change only once the index is
-        written, so a save that raises part way loses nothing for the next
-        one.
+        to, under the same namespace, only the records without a digest
+        (see the module docstring) are written, _relations.rdf only when it
+        has none, and _snapshot.jsonl only when a file was written or
+        removed or the snapshot is missing or does not describe the files;
+        unchanged records keep the bytes they were loaded with.  Any other
+        directory or namespace gets every file.  The digests change only
+        once the index is written, so a save that raises part way loses
+        nothing for the next one.
         """
         keys = sorted(self._current)
         for key in keys:
@@ -482,8 +481,8 @@ class Store:
         target = (root.resolve(), check_namespace(cerif_ns))
         write_all = target != self._on_disk
         pending = RecordSet({key: self._current[key][0] for key in keys
-                             if write_all or key in self._changed})
-        if self._relations and (write_all or self._relations_changed):
+                             if write_all or key not in self._digests})
+        if self._relations and (write_all or self._relations_digest is None):
             pending.relations = sorted(self._relations, key=Relation.sort_key)
         for key, fault in writer_faults(pending):
             where = "document relations" if key is None else f"{key.kind} {key.id!r}"
@@ -521,8 +520,6 @@ class Store:
                          f"{format_partial_date(prov.fetched)}\t{prov.kind.value}")
         write_atomic(root / INDEX_FILE, "".join(line + "\n" for line in lines))
         self._on_disk = target
-        self._changed.clear()
-        self._relations_changed = False
         self._digests, self._relations_digest = digests, relations_digest
         self._snapshot_whole = True
 
@@ -552,14 +549,14 @@ class Store:
         raise FormatError.
 
         A file the snapshot holds, by name and digest (see the module
-        docstring), gives the records saved into it and counts as unchanged:
+        docstring), gives the records saved into it and keeps its digest:
         its bytes are what the serializer wrote for that very record.  Of a
         file that is parsed instead, a record read from anything but its own
-        kind.id.rdf file holding nothing else, relations read from anything
-        but _relations.rdf holding no record, and whatever the file gave
-        with reader warnings are marked changed: the next save into this
-        directory writes them in their canonical file and form, as a save of
-        every file would.
+        kind.id.rdf file holding nothing else, and whatever the file gave
+        with reader warnings, get no digest, nor does _relations.rdf when a
+        relation came from any other file: the next save into this directory
+        writes them in their canonical file and form, as a save of every
+        file would.
         """
         root = Path(directory)
         store = cls()
@@ -568,6 +565,7 @@ class Store:
             return store
         provenance = read_rows(index_path, 4, _index_row)
         held_in: dict[RecordKey, str] = {}
+        relations_digest, relations_elsewhere = None, False
         paths = sorted(root.glob("*.rdf"), key=lambda p: p.name)
         hits = 0
         with SnapshotReader(root / SNAPSHOT_FILE, cerif_ns) as snapshot:
@@ -585,9 +583,9 @@ class Store:
                 store._relations.update(rs.relations)
                 if rs.relations:
                     if own_file:
-                        store._relations_digest = digest
+                        relations_digest = digest
                     else:
-                        store._relations_changed = True
+                        relations_elsewhere = True
                 for key, record in rs.records.items():
                     if key in held_in:
                         raise FormatError(f"{key} is held by two record files, "
@@ -600,13 +598,13 @@ class Store:
                     store._current[key] = (record, prov)
                     if own_file:
                         store._digests[key] = digest
-                    else:
-                        store._changed.add(key)
             store._snapshot_whole = snapshot.whole and hits == len(paths)
         if provenance:
             subject = min(provenance)
             kind, _, ident = subject.partition(":")
             raise FormatError(f"{index_path}: no record file holds {subject}; "
                               f"expected {_record_file(RecordKey(kind, ident))}")
+        if not relations_elsewhere:
+            store._relations_digest = relations_digest
         store._on_disk = (root.resolve(), cerif_ns)
         return store
