@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
+import stat
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -118,9 +118,20 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
     """Replace *path* with *text* through a temporary file in the same
     directory, so readers see the old content or the new, never a mix.
     *text* may also be an iterable of strings, written one at a time, so a
-    long file is never built as one string."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    long file is never built as one string.  The new file has the mode of
+    the one it replaces, or the umask's, as a file written in place has."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    while True:  # a name a killed process with this pid may have left
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            tmp = tmp.with_name(tmp.name + ".tmp")
     try:
+        try:
+            os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             if isinstance(text, str):
                 handle.write(text)

@@ -2,7 +2,9 @@
 
 import copy
 import itertools
+import os
 import random
+import stat
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -513,6 +515,42 @@ def test_write_atomic_leaves_the_old_file_when_it_fails(tmp_path, monkeypatch, f
     monkeypatch.undo()
     assert target.read_text("utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == [INDEX_FILE]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def mode(path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+def test_a_save_leaves_every_file_with_the_record_files_mode(tmp_path, umask_022):
+    built_store().save(tmp_path)
+    assert {mode(path) for path in tmp_path.iterdir()} == {0o644}
+    assert (tmp_path / SNAPSHOT_FILE).exists()
+
+
+@pytest.mark.parametrize("kept", [0o644, 0o640, 0o600])
+def test_write_atomic_keeps_the_mode_of_the_file_it_replaces(tmp_path, umask_022, kept):
+    target = tmp_path / INDEX_FILE
+    target.write_text("old\n", "utf-8")
+    target.chmod(kept)
+    store_module.write_atomic(target, "new\n")
+    assert (target.read_text("utf-8"), mode(target)) == ("new\n", kept)
+    assert [p.name for p in tmp_path.iterdir()] == [INDEX_FILE]
+
+
+def test_write_atomic_stages_beside_a_file_a_killed_write_left(tmp_path):
+    target = tmp_path / INDEX_FILE
+    stale = tmp_path / f"{INDEX_FILE}.{os.getpid()}.tmp"
+    stale.write_text("stale\n", "utf-8")
+    store_module.write_atomic(target, "new\n")
+    assert target.read_text("utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [INDEX_FILE, stale.name]
 
 
 # ---------------------------------------------------------------------------
