@@ -10,6 +10,14 @@ by its field's shape in model.RECORD_FIELDS, so this module names no record
 class and no record field.  Strings are JSON strings escaped to ASCII, so
 every string a record can hold reads back as it was.
 
+Reading a line JSON-decodes it and checks its name, digest, kind and id and
+the types of its relations.  The values of a record stay as JSON decoded
+them until decode_record builds the record or the store flattens them into
+triples; either one checks each value's types with the as_* helpers here
+and raises one of UNREADABLE for a mistyped value.  The encoding is
+canonical, so encoding a decoded line gives back its bytes, and a save writes
+a line it holds undecoded as it was.
+
 It is a module of its own so that the store module does not grow: a process
 that cannot cache bytecode compiles each module it imports, and compiling
 one store module this much larger raised the peak memory of a one-shot
@@ -40,7 +48,6 @@ from .model import (
     TranslationType,
     present_fields,
 )
-from .rdfxml import RecordSet
 
 FORMAT = "cerifrdf-snapshot/1"
 
@@ -49,10 +56,10 @@ _JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 # the wire token of each enum member, without the member's slow .value
 _TOKENS = {member: member.value for enum in (ProjectStatus, TranslationType)
            for member in enum}
-_TRANSLATIONS = {code.value: code for code in TranslationType}
+TRANSLATIONS = {code.value: code for code in TranslationType}
 # what decoding a torn, foreign or mistyped line raises
-_UNREADABLE = (ValueError, TypeError, KeyError, AttributeError, RecursionError,
-               CerifError)
+UNREADABLE = (ValueError, TypeError, KeyError, AttributeError, RecursionError,
+              CerifError)
 
 
 def file_digest(data: bytes) -> bytes:
@@ -60,14 +67,14 @@ def file_digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
-def _row(value, width: int) -> list:
+def as_row(value, width: int) -> list:
     """*value*, which must be a JSON list of *width* values."""
     if type(value) is not list or len(value) != width:
         raise TypeError("mistyped snapshot value")
     return value
 
 
-def _rows(value, width: int | None = None) -> list:
+def as_rows(value, width: int | None = None) -> list:
     """*value*, which must be a JSON list (of lists of *width* values)."""
     if type(value) is not list:
         raise TypeError("mistyped snapshot value")
@@ -78,19 +85,19 @@ def _rows(value, width: int | None = None) -> list:
     return value
 
 
-def _text(value) -> str:
+def as_text(value) -> str:
     if type(value) is not str:
         raise TypeError("mistyped snapshot value")
     return value
 
 
-def _optional(value) -> str | None:
-    return None if value is None else _text(value)
+def as_optional(value) -> str | None:
+    return None if value is None else as_text(value)
 
 
 # bounded, unlike sys.intern, whose table grew as loads added and freed words
 @lru_cache(maxsize=1024)
-def _word(value) -> str:
+def as_word(value) -> str:
     """A string that repeats across records (a kind, a role, a language
     code), shared with its other copies."""
     if type(value) is not str:
@@ -113,72 +120,77 @@ def _relation(row: list) -> Relation:
     source_kind, source_id, target_kind, target_id, role, mandatory = row
     if type(mandatory) is not bool:
         raise TypeError("mistyped snapshot value")
-    return Relation(RecordKey(_word(source_kind), _text(source_id)),
-                    RecordKey(_word(target_kind), _text(target_id)), _word(role), mandatory)
+    return Relation(RecordKey(as_word(source_kind), as_text(source_id)),
+                    RecordKey(as_word(target_kind), as_text(target_id)), as_word(role),
+                    mandatory)
 
 
 # shape -> (JSON value of a present value, that value from its JSON value).
 # A status outside the accepted tokens is a one-string list, so a plain
 # string and the enum member of the same token stay apart.
-_CODECS = {
+CODECS = {
     "status": (lambda status: _TOKENS[status] if status in _TOKENS else [status],
                lambda value: STATUS_BY_TOKEN[value] if type(value) is str
-               else _text(_row(value, 1)[0])),
+               else as_text(as_row(value, 1)[0])),
     "date": (lambda date: [date.year, date.month, date.day],
-             lambda value: PartialDate(*map(_number, _row(value, 3)))),
-    "text": (lambda text: text, _text),
-    "sex": (lambda sex: sex, _word),
-    "list": (list, lambda value: tuple(map(_text, _rows(value)))),
+             lambda value: PartialDate(*map(_number, as_row(value, 3)))),
+    "text": (lambda text: text, as_text),
+    "sex": (lambda sex: sex, as_word),
+    "list": (list, lambda value: tuple(map(as_text, as_rows(value)))),
     "translated": (
         lambda items: [[tt.language, _TOKENS.get(tt.translation), tt.text]
                        for tt in items],
         lambda value: tuple(
-            TranslatedText(_word(language),
-                           None if code is None else _TRANSLATIONS[code], _text(text))
-            for language, code, text in _rows(value, 3))),
+            TranslatedText(as_word(language),
+                           None if code is None else TRANSLATIONS[code], as_text(text))
+            for language, code, text in as_rows(value, 3))),
     "skills": (
         lambda items: [[sk.skill, sk.role] for sk in items],
-        lambda value: tuple(ExpertSkill(_text(skill), None if role is None else _word(role))
-                            for skill, role in _rows(value, 2))),
+        lambda value: tuple(ExpertSkill(as_text(skill),
+                                        None if role is None else as_word(role))
+                            for skill, role in as_rows(value, 2))),
     "contacts": (
         lambda items: [[c.telephone, c.email, c.uri] for c in items],
-        lambda value: tuple(Contact(*map(_optional, row)) for row in _rows(value, 3))),
+        lambda value: tuple(Contact(*map(as_optional, row)) for row in as_rows(value, 3))),
     "ou_relations": (
         lambda items: [[rel.target, rel.role] for rel in items],
-        lambda value: tuple(OuOuRelation(_text(target), _word(role))
-                            for target, role in _rows(value, 2))),
+        lambda value: tuple(OuOuRelation(as_text(target), as_word(role))
+                            for target, role in as_rows(value, 2))),
     "relations": (lambda items: [_relation_row(rel) for rel in items],
-                  lambda value: tuple(map(_relation, _rows(value, 6)))),
+                  lambda value: tuple(map(_relation, as_rows(value, 6)))),
 }
 
-# record class -> attribute -> the decoder of its field's shape
-_DECODERS = {cls: {spec.attr: _CODECS[spec.shape][1] for spec in table}
+# record kind -> attribute -> the decoder of its field's shape
+_DECODERS = {cls.kind: {spec.attr: CODECS[spec.shape][1] for spec in table}
              for cls, table in RECORD_FIELDS.items()}
 
 
-def _record(row) -> Record:
-    kind, ident, values = _row(row, 3)
-    cls = RECORD_CLASSES[kind]
-    decoders = _DECODERS[cls]
-    if type(values) is not dict:
-        raise TypeError("mistyped snapshot value")
-    return cls(id=_text(ident),
-               **{attr: decoders[attr](value) for attr, value in values.items()})
+def record_values(record: Record) -> dict:
+    """{attribute: JSON value} of the present fields of *record*."""
+    return {spec.attr: CODECS[spec.shape][0](value)
+            for spec, value in present_fields(record)}
+
+
+def decode_record(key: RecordKey, values: dict) -> Record:
+    """The record *key* whose present fields record_values gave as *values*."""
+    decoders = _DECODERS[key.kind]
+    return RECORD_CLASSES[key.kind](
+        id=key.id, **{attr: decoders[attr](value) for attr, value in values.items()})
 
 
 def snapshot_lines(cerif_ns: str, files):
     """The header for *cerif_ns*, then a line for each (name, digest,
-    records, relations) of *files*, taken in file-name order.  A file whose
-    values JSON cannot hold, which only a record built through the API can,
-    gets no line, so load parses it."""
+    records, relations) of *files*, taken in file-name order; records are
+    (key, record) pairs, or (key, values) for values a line held undecoded.
+    A file whose values JSON cannot hold, which only a record built through
+    the API can, gets no line, so load parses it."""
     yield _JSON.encode([FORMAT, cerif_ns]) + "\n"
     for name, digest, records, relations in files:
         try:
             yield _JSON.encode([
                 name, digest.hex(),
-                [[record.kind, record.id,
-                  {spec.attr: _CODECS[spec.shape][0](value)
-                   for spec, value in present_fields(record)}] for record in records],
+                [[key.kind, key.id, held if type(held) is dict else record_values(held)]
+                 for key, held in records],
                 [_relation_row(rel) for rel in relations]]) + "\n"
         except (TypeError, ValueError, AttributeError, RecursionError):
             continue
@@ -189,7 +201,7 @@ class SnapshotReader:
 
     A missing snapshot, or one whose header names another format or
     namespace, has no lines.  whole tells whether the header matched and
-    take gave the records of every line read, with no line left over.
+    take gave what every line read holds, with no line left over.
     """
 
     def __init__(self, path: Path, cerif_ns: str) -> None:
@@ -199,7 +211,7 @@ class SnapshotReader:
         try:
             self._handle = path.open("rb")
             header = json.loads(self._handle.readline())
-        except (OSError, *_UNREADABLE):
+        except (OSError, *UNREADABLE):
             return
         if header == [FORMAT, cerif_ns]:
             self._clean = True
@@ -222,18 +234,19 @@ class SnapshotReader:
         self._held = None
         for line in self._handle:
             try:
-                held = _row(json.loads(line), 4)
-                _text(held[0])
-            except _UNREADABLE:
+                held = as_row(json.loads(line), 4)
+                as_text(held[0])
+            except UNREADABLE:
                 self._clean = False
                 continue
             self._held = held
             return
 
-    def take(self, name: str, digest: bytes) -> RecordSet | None:
-        """The records and relations of the line for file *name* when it is
-        the next line and names *digest*, or None; lines for names before
-        *name* are passed over."""
+    def take(self, name: str, digest: bytes):
+        """What the line for file *name* holds, when it is the next line and
+        names *digest*: ({key: values}, []) for one record and no relation,
+        its values undecoded, or ({}, relations) for relations alone; else
+        None.  Lines for names before *name* are passed over."""
         while self._held is not None and self._held[0] < name:
             self._clean = False
             self._advance()
@@ -244,12 +257,13 @@ class SnapshotReader:
         self._advance()
         if hex_digest == digest.hex():
             try:
-                records = [_record(row) for row in _rows(rows)]
-                rs = RecordSet({record.key: record for record in records},
-                               [_relation(row) for row in _rows(relation_rows, 6)])
-                if len(rs.records) == len(records):
-                    return rs
-            except _UNREADABLE:
+                if rows == []:
+                    return {}, [_relation(row) for row in as_rows(relation_rows, 6)]
+                kind, ident, values = as_row(as_row(rows, 1)[0], 3)
+                key = RecordKey(as_word(kind), as_text(ident))
+                if relation_rows == [] and type(values) is dict and kind in RECORD_CLASSES:
+                    return {key: values}, []
+            except UNREADABLE:
                 pass
         self._clean = False
         return None

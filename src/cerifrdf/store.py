@@ -8,17 +8,19 @@ does not.  Queries flatten the store to subject-predicate-object triples and
 match patterns through optional equivalence classes of terms.
 
 The triple view walks the field table model.RECORD_FIELDS, as the reader and
-the writer do; this module only knows how to turn each value shape into
-triples.  The store derives one read-only view of its triples, indexed by
-subject, by predicate and by object (the SPO/POS/OSP idea of Weiss, Karras
-and Bernstein, "Hexastore", VLDB 2008), and answers a pattern from the
-smallest candidate set among its bound positions.
+the writer do; this module only knows how to turn each value shape, in its
+snapshot encoding, into triples.  The store derives one read-only view of its
+triples, indexed by subject, by predicate and by object (the SPO/POS/OSP idea
+of Weiss, Karras and Bernstein, "Hexastore", VLDB 2008), and answers a
+pattern from the smallest candidate set among its bound positions.
 
 Store.merge and Store.load are the only ways into a store: its current map
 and its relation set are read-only to callers.  So the view is a plain
 cache: a merge drops it, the first query after a load or a merge flattens
 the current records once, and each position's index is built the first time
-a pattern binds it.
+a pattern binds it.  The view flattens the snapshot values a load holds
+undecoded, and a record merged in through its encoding, so a query after a
+load builds no record.
 
 A gatherer merges the same sources again and again, so most records are
 unchanged between saves.  A store remembers the directory and namespace its
@@ -45,6 +47,14 @@ parses as "a b"); parsed, it gives what the reader makes of the file.  The
 snapshot carries the same trust as the record files it describes, and a
 digest of each file's bytes is right whatever an interrupted save left
 behind.
+
+Load keeps a taken record's values as JSON decoded them, with their types
+unchecked, and decodes them into a Record only when the record is first
+used: looked up in current, compared by a merge, or written as a file.  A
+query flattens them as they are, and a save writes their line back as it
+was.  Values that then prove mistyped make the store parse the record's file
+after all, as a load without the snapshot would have, refusing it with
+FormatError if its bytes are no longer those load hashed.
 """
 
 from __future__ import annotations
@@ -53,12 +63,11 @@ import os
 import re
 import stat
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from types import MappingProxyType
 
 from .errors import CerifError, EncodingError, FormatError, InvariantViolation, located
 from .model import (
@@ -66,16 +75,17 @@ from .model import (
     Record,
     RecordKey,
     Relation,
+    RECORD_FIELDS,
     SCALAR_TEXT,
-    TranslatedText,
     file_safe_id,
     format_partial_date,
     parse_partial_date,
-    present_fields,
 )
 from .rdfxml import (CERIF_NS, RecordSet, check_namespace, parse_document,
                      serialize_document, writer_faults)
-from .snapshot import SnapshotReader, file_digest, snapshot_lines
+from .snapshot import (CODECS, TRANSLATIONS, UNREADABLE, SnapshotReader, as_optional,
+                       as_rows, as_text, decode_record, file_digest, record_values,
+                       snapshot_lines)
 
 Triple = tuple[str, str, str]
 
@@ -232,43 +242,68 @@ class EquivalenceMap:
         return cls.from_text(read_utf8(Path(path)))
 
 
-def _tt_object(tt: TranslatedText) -> str:
-    code = tt.translation.value if tt.translation else "?"
-    return f"[{tt.language}/{code}] {tt.text}"
-
-
-def _skill_object(skill) -> str:
-    return skill.skill if skill.role is None else f"[{skill.role}] {skill.skill}"
-
-
 def _relation_triple(rel: Relation) -> Triple:
-    return (str(rel.source), rel.role, str(rel.target))
+    return (":".join(rel.source), rel.role, ":".join(rel.target))
 
+
+def _relation_row_triple(row: list) -> Triple:
+    """The triple of a relation in its snapshot encoding, checked as decoding
+    it is."""
+    source_kind, source_id, target_kind, target_id, role, mandatory = row
+    if type(mandatory) is not bool:
+        raise TypeError("mistyped snapshot value")
+    return (f"{as_text(source_kind)}:{as_text(source_id)}", as_text(role),
+            f"{as_text(target_kind)}:{as_text(target_id)}")
+
+
+# the bracket text of a translation code; a code no TranslationType has
+# raises, as decoding it does
+_CODE_TEXT = {None: "?", **{code: code for code in TRANSLATIONS}}
 
 # shape -> triple maker, which takes the record's subject, the field's
-# predicate and a present value.  Contacts, org-unit relations and nested
-# relations name their own predicates, and a nested relation its own subject.
+# predicate and a present value in its snapshot encoding, and raises one of
+# snapshot.UNREADABLE for a mistyped one, as decoding it does.  Contacts,
+# org-unit relations and nested relations name their own predicates, and a
+# nested relation its own subject.
 _TRIPLES = {
-    **{shape: lambda s, p, value, text=text: [(s, p, text(value))]
-       for shape, text in SCALAR_TEXT.items()},
-    "list": lambda s, p, items: [(s, p, item) for item in items],
-    "translated": lambda s, p, items: [(s, p, _tt_object(tt)) for tt in items],
-    "skills": lambda s, p, items: [(s, p, _skill_object(sk)) for sk in items],
+    **{shape: lambda s, p, value, text=text, decode=CODECS[shape][1]:
+       [(s, p, text(decode(value)))] for shape, text in SCALAR_TEXT.items()},
+    "text": lambda s, p, value: [(s, p, as_text(value))],
+    "sex": lambda s, p, value: [(s, p, as_text(value))],
+    "list": lambda s, p, items: [(s, p, as_text(item)) for item in as_rows(items)],
+    "translated": lambda s, p, items: [
+        (s, p, f"[{as_text(language)}/{_CODE_TEXT[code]}] {as_text(text)}")
+        for language, code, text in as_rows(items, 3)],
+    "skills": lambda s, p, items: [
+        (s, p, as_text(skill) if role is None else f"[{as_text(role)}] {as_text(skill)}")
+        for skill, role in as_rows(items, 2)],
     "contacts": lambda s, _, items: [
-        (s, channel, value) for contact in items
-        for channel, value in (("telephone", contact.telephone), ("email", contact.email),
-                               ("contact_uri", contact.uri))
+        (s, channel, value) for row in as_rows(items, 3)
+        for channel, value in zip(("telephone", "email", "contact_uri"),
+                                  map(as_optional, row))
         if value is not None],
     "ou_relations": lambda s, _, items: [
-        (s, rel.role, str(RecordKey("orgunit", rel.target))) for rel in items],
-    "relations": lambda s, _, items: [_relation_triple(rel) for rel in items],
+        (s, as_text(role), f"orgunit:{as_text(target)}") for target, role in as_rows(items, 2)],
+    "relations": lambda s, _, items: list(map(_relation_row_triple, as_rows(items, 6))),
 }
 
+# record kind -> attribute -> (triple maker, predicate, default) of its field
+_FIELDS = {cls.kind: {spec.attr: (_TRIPLES[spec.shape], spec.predicate, spec.default)
+                      for spec in table}
+           for cls, table in RECORD_FIELDS.items()}
 
-def _record_triples(key: RecordKey, record: Record):
-    subject = str(key)
-    for spec, value in present_fields(record):
-        yield from _TRIPLES[spec.shape](subject, spec.predicate, value)
+
+def _record_triples(key: RecordKey, values: dict) -> list[Triple]:
+    """The triples of record *key*, whose present fields have the snapshot
+    encoding *values*; a value decoding would refuse raises as it does."""
+    subject, fields = ":".join(key), _FIELDS[key.kind]
+    triples = []
+    for attr, value in values.items():
+        make, predicate, default = fields[attr]
+        made = make(subject, predicate, value)
+        if value != default:  # decoded, it would be no present field
+            triples += made
+    return triples
 
 
 def _record_file(key: RecordKey) -> str:
@@ -276,12 +311,13 @@ def _record_file(key: RecordKey) -> str:
     return f"{key.kind}.{key.id}.rdf"
 
 
-def _own_file(name: str, rs: RecordSet) -> bool:
-    """Whether *rs* is what store file *name* holds when a save wrote it:
-    exactly that file's one record, or, in _relations.rdf, only relations."""
-    if rs.records:
-        return (not rs.relations and len(rs.records) == 1
-                and name == _record_file(next(iter(rs.records))))
+def _own_file(name: str, records: dict, relations) -> bool:
+    """Whether *records* and *relations* are what store file *name* holds
+    when a save wrote it: exactly that file's one record, or, in
+    _relations.rdf, only relations."""
+    if records:
+        return (not relations and len(records) == 1
+                and name == _record_file(next(iter(records))))
     return name == RELATIONS_FILE
 
 
@@ -303,12 +339,8 @@ class _TripleView:
     filed twice; match and triples return each once.
     """
 
-    def __init__(self, current: dict[RecordKey, tuple[Record, Provenance]],
-                 relations: set[Relation]) -> None:
-        self.filed: list[Triple] = [
-            *chain.from_iterable(_record_triples(key, record)
-                                 for key, (record, _) in current.items()),
-            *map(_relation_triple, relations)]
+    def __init__(self, filed: list[Triple]) -> None:
+        self.filed = filed
         # position (0 subject, 1 predicate, 2 object) -> (value -> triples,
         # part after the first ':' -> values)
         self._indexes: dict[int, tuple[dict[str, list[Triple]], dict[str, list[str]]]] = {}
@@ -349,12 +381,49 @@ class _TripleView:
                 and (object_terms is None or _endpoint_match(triple[2], object_terms))}
 
 
-def _index_row(subject: str, source: str, date_text: str, kind_text: str):
-    try:
-        kind = SourceKind(kind_text)
-    except ValueError:
-        raise FormatError(f"unknown source kind {kind_text!r}") from None
-    return subject, Provenance(source, parse_partial_date(date_text), kind)
+def _read_index(path: Path) -> dict[str, Provenance]:
+    """Provenance by subject from the index at *path*.  Lines with the same
+    source, date and kind share one Provenance, and each date text is parsed
+    once."""
+    provenances: dict[tuple[str, str, str], Provenance] = {}
+    dates: dict[str, PartialDate] = {}
+
+    def read_row(subject: str, *fields: str):
+        prov = provenances.get(fields)
+        if prov is None:
+            source, date_text, kind_text = fields
+            try:
+                kind = SourceKind(kind_text)
+            except ValueError:
+                raise FormatError(f"unknown source kind {kind_text!r}") from None
+            if date_text not in dates:
+                dates[date_text] = parse_partial_date(date_text)
+            prov = provenances[fields] = Provenance(source, dates[date_text], kind)
+        return subject, prov
+
+    return read_rows(path, 4, read_row)
+
+
+class _Current(Mapping):
+    """A store's current map, read-only; looking a key up decodes the
+    snapshot values its store holds for it (see Store.current)."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: "Store") -> None:
+        self._store = store
+
+    def __getitem__(self, key: RecordKey) -> tuple[Record, Provenance]:
+        return self._store._entry(key)
+
+    def __contains__(self, key) -> bool:
+        return key in self._store._current
+
+    def __iter__(self):
+        return iter(self._store._current)
+
+    def __len__(self) -> int:
+        return len(self._store._current)
 
 
 class Store:
@@ -363,7 +432,9 @@ class Store:
     to callers; merge and load are the only ways in."""
 
     def __init__(self) -> None:
-        self._current: dict[RecordKey, tuple[Record, Provenance]] = {}
+        # key -> (record, provenance); a load puts the snapshot values of a
+        # record, a dict, where the record goes, until _entry decodes them
+        self._current: dict[RecordKey, tuple[Record | dict, Provenance]] = {}
         self._relations: set[Relation] = set()
         # built by the first query after a load or a merge; see _triple_view
         self._view: _TripleView | None = None
@@ -379,9 +450,46 @@ class Store:
         self._snapshot_whole = False
 
     @property
-    def current(self) -> MappingProxyType[RecordKey, tuple[Record, Provenance]]:
-        """(record, provenance) of each current version, by key."""
-        return MappingProxyType(self._current)
+    def current(self) -> Mapping[RecordKey, tuple[Record, Provenance]]:
+        """(record, provenance) of each current version, by key.  Looking a
+        key up, or reading the values or items, decodes the snapshot values
+        of each record so far held undecoded; iterating over the keys, len
+        and `in` do not."""
+        return _Current(self)
+
+    def _entry(self, key: RecordKey) -> tuple[Record, Provenance]:
+        """(record, provenance) of *key*, decoding held values on first use."""
+        record, prov = entry = self._current[key]
+        if type(record) is dict:
+            entry = self._current[key] = (self._decode(key, record), prov)
+        return entry
+
+    def _decode(self, key: RecordKey, values: dict) -> Record:
+        """The record *key* from the snapshot values load held for it, or,
+        when they prove mistyped, parsed from its file in the loaded
+        directory, with what a load that parsed the file would have made of
+        it; the file must still have the bytes load hashed."""
+        try:
+            return decode_record(key, values)
+        except UNREADABLE:
+            pass
+        self._snapshot_whole = False
+        root, cerif_ns = self._on_disk
+        name = _record_file(key)
+        with open(os.path.join(root, name), "rb") as handle:
+            data = handle.read()
+        if file_digest(data) != self._digests[key]:
+            raise FormatError(f"{root / name}: changed since the store was loaded")
+        with located(name):
+            rs, warnings = parse_document(data, cerif_ns=cerif_ns)
+        if list(rs.records) != [key]:
+            raise FormatError(f"{root / name}: holds other records than {key} alone")
+        if warnings or rs.relations:
+            del self._digests[key]
+        if rs.relations:
+            self._view, self._relations_digest = None, None
+            self._relations.update(rs.relations)
+        return rs.records[key]
 
     @property
     def relations(self) -> frozenset[Relation]:
@@ -402,6 +510,13 @@ class Store:
         self._view = None
         warnings: list[str] = []
         fetched = prov.fetched.latest()
+        # a held record that may win or tie is decoded before anything
+        # changes, as its values may prove mistyped and its file changed
+        for key in rs.records:
+            held = self._current.get(key)
+            if held is not None and (fetched, prov.source) >= (
+                    held[1].fetched.latest(), held[1].source):
+                self._entry(key)
         for key in sorted(rs.records):
             record = rs.records[key]
             held = self._current.get(key)
@@ -426,9 +541,20 @@ class Store:
         return warnings
 
     def _triple_view(self) -> _TripleView:
-        """The indexed view of the current triples, built on first use."""
+        """The indexed view of the current triples, built on first use from
+        held snapshot values as they are and from each record's encoding."""
         if self._view is None:
-            self._view = _TripleView(self._current, self._relations)
+            filed: list[Triple] = []
+            for key, (record, _) in self._current.items():
+                if type(record) is dict:
+                    try:
+                        filed += _record_triples(key, record)
+                        continue
+                    except UNREADABLE:
+                        record = self._entry(key)[0]
+                filed += _record_triples(key, record_values(record))
+            filed += map(_relation_triple, self._relations)
+            self._view = _TripleView(filed)
         return self._view
 
     def to_triples(self) -> set[Triple]:
@@ -477,8 +603,10 @@ class Store:
         (see the module docstring) are written, _relations.rdf only when it
         has none, and _snapshot.jsonl only when a file was written or
         removed or the snapshot is missing or does not describe the files;
-        unchanged records keep the bytes they were loaded with.  Any other
-        directory or namespace gets every file.  The digests change only
+        unchanged records keep the bytes they were loaded with, and a record
+        whose snapshot values load still holds undecoded gets its line back
+        as it was.  Any other directory or namespace gets every file, which
+        decodes every held record first.  The digests change only
         once the index is written, so a save that raises part way loses
         nothing for the next one.
         """
@@ -491,7 +619,7 @@ class Store:
         root = Path(directory)
         target = (root.resolve(), check_namespace(cerif_ns))
         write_all = target != self._on_disk
-        pending = RecordSet({key: self._current[key][0] for key in keys
+        pending = RecordSet({key: self._entry(key)[0] for key in keys
                              if write_all or key not in self._digests})
         if self._relations and (write_all or self._relations_digest is None):
             pending.relations = sorted(self._relations, key=Relation.sort_key)
@@ -547,7 +675,7 @@ class Store:
                 yield name, relations_digest, (), sorted(self._relations,
                                                          key=Relation.sort_key)
             else:
-                yield name, digests[key], (self._current[key][0],), ()
+                yield name, digests[key], ((key, self._current[key][0]),), ()
 
     @classmethod
     def load(cls, directory: str | os.PathLike, *,
@@ -561,7 +689,10 @@ class Store:
 
         A file the snapshot holds, by name and digest (see the module
         docstring), gives the records saved into it and keeps its digest:
-        its bytes are what the serializer wrote for that very record.  Of a
+        its bytes are what the serializer wrote for that very record.  Its
+        line is JSON-decoded and its name, digest and key checked here, but
+        the record's values stay undecoded until the record is first used
+        (see current); a query flattens them as they are.  Of a
         file that is parsed instead, a record read from anything but its own
         kind.id.rdf file holding nothing else, and whatever the file gave
         with reader warnings, get no digest, nor does _relations.rdf when a
@@ -574,42 +705,46 @@ class Store:
         index_path = root / INDEX_FILE
         if not index_path.exists():
             return store
-        provenance = read_rows(index_path, 4, _index_row)
+        provenance = _read_index(index_path)
         held_in: dict[RecordKey, str] = {}
         relations_digest, relations_elsewhere = None, False
-        paths = sorted(root.glob("*.rdf"), key=lambda p: p.name)
+        names = sorted(name for name in os.listdir(root) if name.endswith(".rdf"))
+        prefix = os.path.join(root, "")
         hits = 0
         with SnapshotReader(root / SNAPSHOT_FILE, cerif_ns) as snapshot:
-            for path in paths:
-                data = path.read_bytes()
+            for name in names:
+                with open(prefix + name, "rb") as handle:
+                    data = handle.read()
                 digest = file_digest(data)
-                rs = snapshot.take(path.name, digest)
-                own_file = rs is not None and _own_file(path.name, rs)
-                if own_file:
+                taken = snapshot.take(name, digest)
+                if taken is not None and _own_file(name, *taken):
                     hits += 1
+                    own_file = True
+                    records, relations = taken
                 else:
-                    with located(path.name):
+                    with located(name):
                         rs, warnings = parse_document(data, cerif_ns=cerif_ns)
-                    own_file = not warnings and _own_file(path.name, rs)
-                store._relations.update(rs.relations)
-                if rs.relations:
+                    records, relations = rs.records, rs.relations
+                    own_file = not warnings and _own_file(name, records, relations)
+                store._relations.update(relations)
+                if relations:
                     if own_file:
                         relations_digest = digest
                     else:
                         relations_elsewhere = True
-                for key, record in rs.records.items():
+                for key, record in records.items():
                     if key in held_in:
                         raise FormatError(f"{key} is held by two record files, "
-                                          f"{held_in[key]} and {path.name}")
+                                          f"{held_in[key]} and {name}")
                     prov = provenance.pop(str(key), None)
                     if prov is None:
-                        raise FormatError(f"{path.name}: no provenance index entry "
+                        raise FormatError(f"{name}: no provenance index entry "
                                           f"for {key}")
-                    held_in[key] = path.name
+                    held_in[key] = name
                     store._current[key] = (record, prov)
                     if own_file:
                         store._digests[key] = digest
-            store._snapshot_whole = snapshot.whole and hits == len(paths)
+            store._snapshot_whole = snapshot.whole and hits == len(names)
         if provenance:
             subject = min(provenance)
             kind, _, ident = subject.partition(":")

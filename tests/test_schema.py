@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from cerifrdf import htmlbridge, rdfxml, store, validation
+from cerifrdf import htmlbridge, rdfxml, snapshot, store, validation
 from cerifrdf.model import (
     RECORD_CLASSES,
     RECORD_FIELDS,
@@ -56,12 +56,15 @@ def test_every_used_shape_has_a_triple_maker():
     used = {spec.shape for table in RECORD_FIELDS.values() for spec in table}
     for shape in used:
         assert callable(store._TRIPLES[shape]), shape
-    # a single-valued scalar's triple object is its text form
+    # a single-valued scalar's triple object is the text form of the value
+    # its snapshot encoding decodes to
     samples = {"status": ProjectStatus.EXECUTION, "date": PartialDate(2001, 6),
                "text": "x", "sex": "F"}
     assert set(samples) == set(SCALAR_TEXT) - {"list"}
     for shape, value in samples.items():
-        assert store._TRIPLES[shape]("s", "p", value) == [
+        encode, decode = snapshot.CODECS[shape]
+        assert decode(encode(value)) == value, shape
+        assert store._TRIPLES[shape]("s", "p", encode(value)) == [
             ("s", "p", SCALAR_TEXT[shape](value))], shape
 
 
