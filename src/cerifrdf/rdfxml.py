@@ -32,7 +32,6 @@ import xml.etree.ElementTree as ET
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import (CerifError, DuplicateId, FormatError, InvariantViolation, MissingId,
                      UnknownCode, XmlError)
@@ -93,6 +92,26 @@ _ALIAS_LOOKUP: dict[str, str] = {name.lower(): name for name in _CANONICAL}
 for _canonical, _variants in _ALIASES.items():
     for _v in _variants:
         _ALIAS_LOOKUP[_v.lower()] = _canonical
+
+
+# xml.sax.saxutils has the same two, but importing it loads urllib.request,
+# http.client, email and ssl, about 40 ms of every command's start-up
+def escape(text: str) -> str:
+    """*text* with '&', '<' and '>' written as entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """*text* as a quoted attribute value, escaped, and with line breaks
+    and tabs as character references; quoted with '"' unless it holds
+    only that quote, then with "'"."""
+    text = (escape(text).replace("\n", "&#10;").replace("\r", "&#13;")
+            .replace("\t", "&#9;"))
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"{}"'.format(text.replace('"', "&quot;"))
 
 
 @dataclass(eq=False)

@@ -1,7 +1,13 @@
 """Tests for the CERIF-RDF reader and writer, golden files included."""
 
+import ast
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
+from xml.sax import saxutils
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -811,3 +817,30 @@ def test_empty_set_round_trips():
     assert warnings == []
     assert parsed == rs
     assert parsed.records == {}
+
+
+# both quotes, line breaks, tabs, other control characters, markup and
+# characters outside ASCII
+_ESCAPE_ALPHABET = "aZ0 &<>;#\"'\n\r\t\x00\x01\x0b\x1f\x7f\x85\u2028é€\U0001f600"
+
+
+def test_escape_and_quoteattr_write_what_saxutils_writes():
+    rng = random.Random(5150)
+    texts = ["", '"', "'", "\"'", "&amp;", "\r\n"]
+    texts += ["".join(rng.choice(_ESCAPE_ALPHABET) for _ in range(rng.randint(0, 16)))
+              for _ in range(3000)]
+    for text in texts:
+        assert rdfxml.escape(text) == saxutils.escape(text), text
+        assert rdfxml.quoteattr(text) == saxutils.quoteattr(text), text
+
+
+def test_importing_the_cli_loads_no_network_or_temporary_file_module():
+    # -S: no site hook may import either module first
+    code = ("import sys; before = set(sys.modules); import cerifrdf.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    src = str(Path(rdfxml.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    added = set(ast.literal_eval(out))
+    assert {"cerifrdf.cli", "cerifrdf.rdfxml", "cerifrdf.store"} <= added
+    assert added.isdisjoint({"urllib.request", "tempfile", "xml.sax.saxutils"})
