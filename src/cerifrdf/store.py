@@ -642,9 +642,9 @@ class Store:
             (root / RELATIONS_FILE).write_bytes(data)
             relations_digest = file_digest(data)
         swept = False
-        for path in root.glob("*.rdf"):
-            if path.name not in expected:
-                path.unlink()
+        for name in os.listdir(root):
+            if name.endswith(".rdf") and name not in expected:
+                (root / name).unlink()
                 swept = True
         snapshot = root / SNAPSHOT_FILE
         if (write_all or pending.records or pending.relations or swept
