@@ -67,7 +67,7 @@ def file_digest(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=16).digest()
 
 
-def as_row(value, width: int) -> list:
+def _row(value, width: int) -> list:
     """*value*, which must be a JSON list of *width* values."""
     if type(value) is not list or len(value) != width:
         raise TypeError("mistyped snapshot value")
@@ -97,7 +97,7 @@ def as_optional(value) -> str | None:
 
 # bounded, unlike sys.intern, whose table grew as loads added and freed words
 @lru_cache(maxsize=1024)
-def as_word(value) -> str:
+def _word(value) -> str:
     """A string that repeats across records (a kind, a role, a language
     code), shared with its other copies."""
     if type(value) is not str:
@@ -120,8 +120,8 @@ def _relation(row: list) -> Relation:
     source_kind, source_id, target_kind, target_id, role, mandatory = row
     if type(mandatory) is not bool:
         raise TypeError("mistyped snapshot value")
-    return Relation(RecordKey(as_word(source_kind), as_text(source_id)),
-                    RecordKey(as_word(target_kind), as_text(target_id)), as_word(role),
+    return Relation(RecordKey(_word(source_kind), as_text(source_id)),
+                    RecordKey(_word(target_kind), as_text(target_id)), _word(role),
                     mandatory)
 
 
@@ -131,30 +131,30 @@ def _relation(row: list) -> Relation:
 CODECS = {
     "status": (lambda status: _TOKENS[status] if status in _TOKENS else [status],
                lambda value: STATUS_BY_TOKEN[value] if type(value) is str
-               else as_text(as_row(value, 1)[0])),
+               else as_text(_row(value, 1)[0])),
     "date": (lambda date: [date.year, date.month, date.day],
-             lambda value: PartialDate(*map(_number, as_row(value, 3)))),
+             lambda value: PartialDate(*map(_number, _row(value, 3)))),
     "text": (lambda text: text, as_text),
-    "sex": (lambda sex: sex, as_word),
+    "sex": (lambda sex: sex, _word),
     "list": (list, lambda value: tuple(map(as_text, as_rows(value)))),
     "translated": (
         lambda items: [[tt.language, _TOKENS.get(tt.translation), tt.text]
                        for tt in items],
         lambda value: tuple(
-            TranslatedText(as_word(language),
+            TranslatedText(_word(language),
                            None if code is None else TRANSLATIONS[code], as_text(text))
             for language, code, text in as_rows(value, 3))),
     "skills": (
         lambda items: [[sk.skill, sk.role] for sk in items],
         lambda value: tuple(ExpertSkill(as_text(skill),
-                                        None if role is None else as_word(role))
+                                        None if role is None else _word(role))
                             for skill, role in as_rows(value, 2))),
     "contacts": (
         lambda items: [[c.telephone, c.email, c.uri] for c in items],
         lambda value: tuple(Contact(*map(as_optional, row)) for row in as_rows(value, 3))),
     "ou_relations": (
         lambda items: [[rel.target, rel.role] for rel in items],
-        lambda value: tuple(OuOuRelation(as_text(target), as_word(role))
+        lambda value: tuple(OuOuRelation(as_text(target), _word(role))
                             for target, role in as_rows(value, 2))),
     "relations": (lambda items: [_relation_row(rel) for rel in items],
                   lambda value: tuple(map(_relation, as_rows(value, 6)))),
@@ -234,7 +234,7 @@ class SnapshotReader:
         self._held = None
         for line in self._handle:
             try:
-                held = as_row(json.loads(line), 4)
+                held = _row(json.loads(line), 4)
                 as_text(held[0])
             except UNREADABLE:
                 self._clean = False
@@ -259,8 +259,8 @@ class SnapshotReader:
             try:
                 if rows == []:
                     return {}, [_relation(row) for row in as_rows(relation_rows, 6)]
-                kind, ident, values = as_row(as_row(rows, 1)[0], 3)
-                key = RecordKey(as_word(kind), as_text(ident))
+                kind, ident, values = _row(_row(rows, 1)[0], 3)
+                key = RecordKey(_word(kind), as_text(ident))
                 if relation_rows == [] and type(values) is dict and kind in RECORD_CLASSES:
                     return {key: values}, []
             except UNREADABLE:
