@@ -38,7 +38,7 @@ class ExchangeKind(Enum):
     CHANGE = "change"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExchangeName:
     """Structured form of an exchange file name."""
 
@@ -202,16 +202,14 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
     return out
 
 
-def _registry_row(org: str, rtype: str, ident: str, date_text: str):
-    if rtype not in RECORD_TYPES:
-        raise FormatError(f"unknown record type {rtype!r}")
-    return (org, rtype, ident), parse_partial_date(date_text)
-
-
 class IdRegistry:
     """Append-only memory of every (org, type, id) ever sent, with the date
     it was first seen.  The backing file is one tab-separated line per entry,
-    sorted, and is replaced atomically on save."""
+    sorted, and is replaced atomically on save.
+
+    A loaded registry keeps one object per distinct organization, record
+    type and date text, shared by the entries that hold it, and save
+    streams the sorted lines into the file rather than building its text."""
 
     def __init__(self, path: str | os.PathLike | None = None) -> None:
         self.path = Path(path) if path is not None else None
@@ -222,7 +220,19 @@ class IdRegistry:
         registry = cls(path)
         if not registry.path.exists():
             return registry
-        registry.entries = read_rows(registry.path, 4, _registry_row)
+        types = {rtype: rtype for rtype in RECORD_TYPES}
+        orgs: dict[str, str] = {}
+        dates: dict[str, PartialDate] = {}
+
+        def read_row(org: str, rtype: str, ident: str, date_text: str):
+            if rtype not in types:
+                raise FormatError(f"unknown record type {rtype!r}")
+            date = dates.get(date_text)
+            if date is None:
+                date = dates[date_text] = parse_partial_date(date_text)
+            return (orgs.setdefault(org, org), types[rtype], ident), date
+
+        registry.entries = read_rows(registry.path, 4, read_row)
         return registry
 
     def register(self, org: str, rtype: str, ident: str, date: PartialDate) -> None:
@@ -232,13 +242,15 @@ class IdRegistry:
     def save(self) -> None:
         if self.path is None:
             raise InvariantViolation("registry has no backing path")
-        lines = [f"{org}\t{rtype}\t{ident}\t{format_partial_date(date)}"
-                 for (org, rtype, ident), date in sorted(self.entries.items())]
+        entries = self.entries
+        lines = (f"{org}\t{rtype}\t{ident}\t"
+                 f"{format_partial_date(entries[org, rtype, ident])}\n"
+                 for org, rtype, ident in sorted(entries))
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(self.path, "".join(line + "\n" for line in lines))
+        write_atomic(self.path, lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionIssue:
     code: str
     detail: str
@@ -247,7 +259,7 @@ class SessionIssue:
         return f"FLAG {self.code} {self.detail}"
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionReport:
     issues: list[SessionIssue]
 

@@ -28,7 +28,7 @@ _OPEN = "<rdf:RDF"
 _CLOSE = "</rdf:RDF>"
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtractionResult:
     """Documents recovered from one page, each with the byte offset where its
     rdf:RDF block starts, plus any per-block warnings.  blocks holds the

@@ -8,7 +8,6 @@ which has to be able to look at broken records in order to report them.
 
 from __future__ import annotations
 
-import calendar
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -80,7 +79,11 @@ def status_token(status: ProjectStatus | str) -> str:
     return status.value if isinstance(status, ProjectStatus) else str(status)
 
 
-@dataclass(frozen=True)
+#: Days in each month of a common year; February has 29 in a leap year.
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+@dataclass(frozen=True, slots=True)
 class PartialDate:
     """A calendar date whose day, or day and month, may be unknown.
 
@@ -100,7 +103,8 @@ class PartialDate:
         if self.month is not None and not 1 <= self.month <= 12:
             raise FormatError(f"month {self.month} outside 1-12")
         if self.day is not None and not 1 <= self.day <= 28:  # every month has 28
-            last = calendar.monthrange(self.year, self.month)[1]
+            leap = self.year % 4 == 0 and (self.year % 100 != 0 or self.year % 400 == 0)
+            last = _MONTH_DAYS[self.month - 1] + (self.month == 2 and leap)
             if not 1 <= self.day <= last:
                 raise FormatError(f"day {self.day} outside 1-{last}")
 
@@ -192,7 +196,7 @@ class RecordKey(NamedTuple):
         return f"{self.kind}:{self.id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslatedText:
     """One language variant of a text value.
 
@@ -206,13 +210,13 @@ class TranslatedText:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpertSkill:
     skill: str
     role: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contact:
     telephone: str | None = None
     email: str | None = None
@@ -223,7 +227,7 @@ class Contact:
         return self.telephone is None and self.email is None and self.uri is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     """A directed, role-labelled edge between two records.
 
@@ -253,7 +257,7 @@ class Relation:
             yield no_role
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OuOuRelation:
     """A relation between org-units; target names the other unit's id."""
 
@@ -261,7 +265,7 @@ class OuOuRelation:
     role: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
     """What the three record kinds share: an identifier, a kind and a key.
 
@@ -284,7 +288,7 @@ class Record:
         return RecordKey(self.kind, self.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Project(Record):
     """A research project.
 
@@ -304,7 +308,7 @@ class Project(Record):
     relations: tuple[Relation, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Person(Record):
     kind = "person"
     family_names: str = ""
@@ -316,7 +320,7 @@ class Person(Record):
     contacts: tuple[Contact, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrgUnit(Record):
     """An organisational unit.
 

@@ -114,7 +114,7 @@ def quoteattr(text: str) -> str:
     return '"{}"'.format(text.replace('"', "&quot;"))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RecordSet:
     """One parsed or buildable document: records keyed by (type, id).
 

@@ -43,7 +43,7 @@ _PAREN = re.compile(r"\s*\([^)]*\)")
 _SLUG_STRIP = re.compile(r"[^0-9A-Za-zÀ-ÖØ-öø-ÿ]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LegacyRecord:
     """One legacy record: ordered (tag, value) entries, repeats preserved."""
 
@@ -118,7 +118,7 @@ def parse_sgml(data: str | bytes,
     return records, warnings
 
 
-@dataclass
+@dataclass(slots=True)
 class ConvertedRecord:
     """Output of mapping one legacy record: the unit itself, the records it
     implies (head person and parent stubs) and the relations joining them."""

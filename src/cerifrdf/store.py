@@ -162,7 +162,7 @@ class SourceKind(Enum):
     EXTRACTED = "extracted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     source: str
     fetched: PartialDate
@@ -179,7 +179,7 @@ class Provenance:
             raise InvariantViolation("provenance date must be a full date")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriplePattern:
     """A triple with any position replaced by None as a wildcard."""
 
@@ -401,6 +401,19 @@ def _read_index(path: Path) -> dict[str, Provenance]:
         return subject, prov
 
     return read_rows(path, 4, read_row)
+
+
+def _index_lines(keys, current: dict[RecordKey, tuple]):
+    """The index line of each of *keys*, in order, from its provenance in
+    *current*; each distinct Provenance is formatted once."""
+    texts: dict[Provenance, str] = {}
+    for key in keys:
+        prov = current[key][1]
+        text = texts.get(prov)
+        if text is None:
+            text = texts[prov] = (f"{prov.source}\t{format_partial_date(prov.fetched)}"
+                                  f"\t{prov.kind.value}\n")
+        yield f"{key}\t{text}"
 
 
 class _Current(Mapping):
@@ -651,12 +664,7 @@ class Store:
             write_atomic(snapshot, snapshot_lines(cerif_ns, self._snapshot_files(
                 keys, digests, relations_digest)))
 
-        lines = []
-        for key in keys:
-            _, prov = self._current[key]
-            lines.append(f"{key}\t{prov.source}\t"
-                         f"{format_partial_date(prov.fetched)}\t{prov.kind.value}")
-        write_atomic(root / INDEX_FILE, "".join(line + "\n" for line in lines))
+        write_atomic(root / INDEX_FILE, _index_lines(keys, self._current))
         self._on_disk = target
         self._digests, self._relations_digest = digests, relations_digest
         self._snapshot_whole = True

@@ -33,7 +33,7 @@ from .model import (
 from .rdfxml import CERIF_NS, RecordSet, parse_with_duplicates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One invariant breach inside a record.
 
@@ -47,7 +47,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MissingMandatoryField:
     field: str
 
@@ -55,7 +55,7 @@ class MissingMandatoryField:
         return f"missing-mandatory-field:{self.field}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CascadeFrom:
     key: RecordKey
 
@@ -66,7 +66,7 @@ class CascadeFrom:
 DiscardReason = Union[MissingMandatoryField, CascadeFrom]
 
 
-@dataclass
+@dataclass(slots=True)
 class DiscardReport:
     kept: RecordSet
     discarded: list[tuple[RecordKey, DiscardReason]]

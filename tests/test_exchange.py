@@ -1,6 +1,7 @@
 """Tests for exchange file names, session planning and the id registry."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from cerifrdf.exchange import (
     plan_session,
 )
 from cerifrdf.model import (
+    RECORD_TYPES,
     PartialDate,
     Person,
     Project,
@@ -339,6 +341,79 @@ def test_registry_missing_file_is_empty(tmp_path):
 def test_registry_save_needs_path():
     with pytest.raises(InvariantViolation):
         IdRegistry().save()
+
+
+def _date_text(day, month, year) -> str:
+    """The canonical spelling: the fields present, day first, zero-padded."""
+    return ".".join([*(f"{n:02d}" for n in (day, month) if n is not None), f"{year}"])
+
+
+def _loose_date_text(rng, day, month, year) -> str:
+    """A spelling the registry reads as the same date: fields padded or not,
+    blanks around the text and its fields."""
+    fields = [rng.choice((f"{n}", f"{n:02d}", f" {n}")) for n in (day, month)
+              if n is not None]
+    return rng.choice(("", " ", "  ")) + ".".join([*fields, f"{year}"]) + \
+        rng.choice(("", " "))
+
+
+def test_registry_saves_a_loaded_file_back_sorted_and_canonical(tmp_path):
+    rng = random.Random(2201)
+    dates = [(rng.randint(1, 28), rng.randint(1, 12), rng.randint(1990, 2010))
+             for _ in range(30)]
+    dates += [(None, 2, 2001), (None, None, 1999)]
+    orgs = ("TUWIEN", "UNIVIE", "JKU")
+    entries = {(rng.choice(orgs), rng.choice(RECORD_TYPES), f"id.{i}"): rng.choice(dates)
+               for i in range(3000)}
+    texts = {key: _loose_date_text(rng, *date) for key, date in entries.items()}
+    lines = [f"{org}\t{rtype}\t{ident}\t{texts[org, rtype, ident]}\n"
+             for org, rtype, ident in entries]
+    lines += ["\n", " \t \n"] * 20
+    rng.shuffle(lines)
+    path = tmp_path / "registry.tsv"
+    path.write_text("".join(lines), "utf-8")
+
+    registry = IdRegistry.load(path)
+    assert len(registry.entries) == len(entries)
+    # one object per distinct organization, type and date text
+    org_objects, date_objects = {}, {}
+    for key, date in registry.entries.items():
+        org, rtype, _ = key
+        assert org_objects.setdefault(org, org) is org
+        assert rtype is RECORD_TYPES[RECORD_TYPES.index(rtype)]
+        assert date_objects.setdefault(texts[key], date) is date
+    registry.save()
+    assert path.read_text("utf-8") == "".join(
+        f"{org}\t{rtype}\t{ident}\t{_date_text(*entries[org, rtype, ident])}\n"
+        for org, rtype, ident in sorted(entries))
+    assert IdRegistry.load(path).entries == registry.entries
+
+
+def test_registry_load_and_save_stay_small(tmp_path):
+    # a registry only grows, and every package --registry loads it whole
+    rng = random.Random(2202)
+    entries = {}
+    while len(entries) < 20000:
+        key = (rng.choice(("TUWIEN", "TUWIEN", "UNIVIE", "JKU")),
+               rng.choice(("project", "person", "orgunit")),
+               randgen.rand_id(rng, len(entries)))
+        entries[key] = randgen.rand_full_date(rng)
+    path = tmp_path / "registry.tsv"
+    path.write_text("".join(
+        f"{org}\t{rtype}\t{ident}\t{_date_text(date.day, date.month, date.year)}\n"
+        for (org, rtype, ident), date in entries.items()), "utf-8")
+    tracemalloc.start()
+    try:
+        registry = IdRegistry.load(path)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        registry.save()
+        save_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert registry.entries == entries
+    assert held / len(entries) <= 280
+    assert save_peak < 2**20
 
 
 # ---------------------------------------------------------------------------

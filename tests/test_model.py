@@ -1,11 +1,17 @@
 """Tests for dates, translation codes and the record value types."""
 
+import calendar
+import copy
 import dataclasses
+import importlib
+import pickle
+import pkgutil
 import random
 import re
 
 import pytest
 
+import cerifrdf
 from cerifrdf.errors import FormatError, UnknownCode
 from cerifrdf.model import (
     Contact,
@@ -26,6 +32,8 @@ from cerifrdf.model import (
     parse_partial_date,
     split_semicolon_list,
 )
+
+import randgen
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +100,19 @@ def test_day_its_month_does_not_have_rejected(text):
                                   "30.04.2001", "31.12.2001"])
 def test_last_day_of_each_month_accepted(text):
     assert str(parse_partial_date(text)) == text
+
+
+def test_month_lengths_agree_with_calendar():
+    for year in range(1000, 10000):
+        for month in range(1, 13):
+            last = calendar.monthrange(year, month)[1]
+            for day in range(28, 32):
+                try:
+                    PartialDate(year, month, day)
+                    accepted = True
+                except FormatError:
+                    accepted = False
+                assert accepted == (day <= last), (year, month, day)
 
 
 def test_day_without_month_not_representable():
@@ -234,3 +255,46 @@ def test_relation_sort_key_orders_deterministically():
     rng.shuffle(shuffled)
     assert sorted(shuffled, key=Relation.sort_key) == \
         sorted(rels, key=Relation.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# slotted dataclasses
+
+def _package_dataclasses():
+    for info in pkgutil.iter_modules(cerifrdf.__path__):
+        module = importlib.import_module(f"cerifrdf.{info.name}")
+        for value in vars(module).values():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__):
+                yield value
+
+
+def test_every_dataclass_is_slotted():
+    classes = list(_package_dataclasses())
+    assert {"PartialDate", "Record", "Project", "RecordSet", "Provenance",
+            "ExchangeName"} <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        # an instance has a __dict__ when any class of its MRO has no __slots__
+        for base in cls.__mro__[:-1]:
+            assert "__slots__" in vars(base), (cls, base)
+            assert "__dict__" not in vars(base), (cls, base)
+
+
+def _records(seed: int):
+    rng = random.Random(seed)
+    return [randgen.rand_project(rng, "P1", targets=(RecordKey("person", "Q1"),)),
+            randgen.rand_person(rng, "Q1"),
+            randgen.rand_orgunit(rng, "U1", parents=("U0",))]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_slotted_records_copy_pickle_and_replace(seed):
+    for record in _records(seed):
+        assert not hasattr(record, "__dict__")
+        for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            assert again == record and again is not record
+            assert hash(again) == hash(record)
+            assert repr(again) == repr(record)
+        renamed = dataclasses.replace(record, id=record.id + "x")
+        assert renamed.key == RecordKey(record.kind, record.id + "x")
+        assert dataclasses.replace(renamed, id=record.id) == record

@@ -834,8 +834,8 @@ def test_escape_and_quoteattr_write_what_saxutils_writes():
         assert rdfxml.quoteattr(text) == saxutils.quoteattr(text), text
 
 
-def test_importing_the_cli_loads_no_network_or_temporary_file_module():
-    # -S: no site hook may import either module first
+def test_importing_the_cli_loads_no_network_temporary_file_or_date_module():
+    # -S: no site hook may import any of them first
     code = ("import sys; before = set(sys.modules); import cerifrdf.cli; "
             "print(sorted(set(sys.modules) - before))")
     src = str(Path(rdfxml.__file__).resolve().parents[1])
@@ -843,4 +843,5 @@ def test_importing_the_cli_loads_no_network_or_temporary_file_module():
                          capture_output=True, env={**os.environ, "PYTHONPATH": src}).stdout
     added = set(ast.literal_eval(out))
     assert {"cerifrdf.cli", "cerifrdf.rdfxml", "cerifrdf.store"} <= added
-    assert added.isdisjoint({"urllib.request", "tempfile", "xml.sax.saxutils"})
+    assert added.isdisjoint({"urllib.request", "tempfile", "xml.sax.saxutils",
+                             "calendar", "datetime"})
