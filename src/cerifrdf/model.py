@@ -347,12 +347,15 @@ RECORD_CLASSES: dict[str, type[Record]] = {cls.kind: cls
 _TUPLE_FIELDS = {cls: tuple(f.name for f in fields(cls) if f.default == ())
                  for cls in RECORD_CLASSES.values()}
 
-_NOT_IN_FILE_NAMES = re.compile(r"[/\\\x00-\x1f\x7f-\x9f]")
+# str.splitlines, which reads the store's index, also breaks at U+2028 and
+# U+2029, so an identifier holding one would save an index no load reads
+_NOT_IN_FILE_NAMES = re.compile(r"[/\\\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def file_safe_id(ident: str) -> bool:
-    """True when *ident* can stand inside a file name: it holds no '/', no
-    '\\' and no control character, so it cannot steer where a file goes."""
+    """True when *ident* can stand inside a file name and an index line: it
+    holds no '/', no '\\', no control character and no line or paragraph
+    separator, so it cannot steer where a file goes."""
     return _NOT_IN_FILE_NAMES.search(ident) is None
 
 

@@ -25,9 +25,9 @@ load builds no record.
 A gatherer merges the same sources again and again, so most records are
 unchanged between saves.  A store remembers the directory and namespace its
 files on disk describe (the ones it was loaded from or last saved to) and the
-digest of each file there that holds what the store holds; a save back to
-that directory under that namespace writes only the records without a
-digest, which merge changed since, and the relation file only when it has
+digest and stamp of each file there that holds what the store holds; a save
+back to that directory under that namespace writes only the records without
+a digest, which merge changed since, and the relation file only when it has
 none, as after the relation set grew.  Unchanged records keep the file bytes
 they were loaded from; load keeps no digest for a record it found outside
 its own file or parsed with warnings, nor for the relation file when a
@@ -35,18 +35,27 @@ relation came from anywhere else.  Any other target gets every file.
 
 A save also writes _snapshot.jsonl (see the snapshot module), a derived
 copy of what each record file holds, keyed by the blake2b-128 digest of the
-file's bytes.  Load still reads and hashes every record file, but takes a
-file whose name and digest a snapshot line under the load's namespace
-names, and which holds exactly its own key (or, for _relations.rdf, only
-relations), from that line instead of parsing it; any other file is parsed
-as before, with the same refusals, and a missing, torn, foreign or mistyped
-snapshot or line only means more parsing.  So while the snapshot matches,
-load gives back each record exactly as it was saved, even one built through
-the API in a form the reader would normalize (Person(family_names="  a  b ")
-parses as "a b"); parsed, it gives what the reader makes of the file.  The
-snapshot carries the same trust as the record files it describes, and a
-digest of each file's bytes is right whatever an interrupted save left
-behind.
+file's bytes and by the file's stamp: its size, mtime, ctime and inode, as
+fstat gave them on the descriptor the save wrote through, or as the load
+before it found them.  Load opens and fstats every record file.  A file
+whose stamp its line names, and whose ctime is older than the snapshot's
+mtime, is not read: the line vouches for its digest.  Every other file is
+read and hashed, and counts as its line's only when the digests agree.  A
+line under the load's namespace that holds exactly its file's own key (or,
+for _relations.rdf, only relations) is taken instead of parsing the file;
+any other file is parsed as before, with the same refusals, and a missing,
+torn, foreign or mistyped snapshot or line only means more parsing.  A
+copied store has new inodes and ctimes, so its files are hashed, not
+trusted; os.utime cannot set a ctime, so an edit whose mtime was put back
+is hashed too.  So while the snapshot matches, load gives back each record
+exactly as it was saved, even one built through the API in a form the
+reader would normalize (Person(family_names="  a  b ") parses as "a b");
+parsed, it gives what the reader makes of the file.  The snapshot carries
+the same trust as the record files it describes, and a digest of each
+file's bytes is right whatever an interrupted save left behind.  A stamp is
+trusted as git trusts the stat data in its index, so a file that another
+process rewrites to the same size and mtime, in the clock tick in which a
+save or a load stamped it, can pass unseen.
 
 Load keeps a taken record's values as JSON decoded them, with their types
 unchecked, and decodes them into a Record only when the record is first
@@ -84,8 +93,8 @@ from .model import (
 from .rdfxml import (CERIF_NS, RecordSet, check_namespace, parse_document,
                      serialize_document, writer_faults)
 from .snapshot import (CODECS, TRANSLATIONS, UNREADABLE, SnapshotReader, as_optional,
-                       as_rows, as_text, decode_record, file_digest, record_values,
-                       snapshot_lines)
+                       as_rows, as_text, decode_record, file_digest, file_mark,
+                       file_stamp, record_values, snapshot_lines)
 
 Triple = tuple[str, str, str]
 
@@ -122,6 +131,31 @@ def read_rows(path: Path, width: int, read_row) -> dict:
             raise type(exc)(f"{path}:{lineno}: {exc}") from None
         rows[key] = value
     return rows
+
+
+def write_file(path: Path, data: bytes) -> list:
+    """Write *data* to *path*, as Path.write_bytes does, and return the
+    file's stamp (snapshot.file_stamp) from fstat on the written descriptor."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        return file_stamp(os.fstat(fd))
+    finally:
+        os.close(fd)
+
+
+def _read_open(fd: int, size: int) -> bytes:
+    """The bytes of the open file *fd*, whose fstat gave *size*: one read,
+    and more only if the file grew since."""
+    data = os.read(fd, size + 1)
+    if len(data) > size:
+        chunks = [data]
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+        data = b"".join(chunks)
+    return data
 
 
 def write_atomic(path: Path, text: str | Iterable[str]) -> None:
@@ -453,12 +487,13 @@ class Store:
         # (resolved directory, namespace) whose files the digests describe;
         # set by load and by each save that completes
         self._on_disk: tuple[Path, str] | None = None
-        # the digest of the file of each key whose file holds its current
-        # record, and of _relations.rdf when it holds the relation set; a key
-        # or relation set without one must be written.  _snapshot_whole tells
-        # whether the snapshot describes exactly those files and records
-        self._digests: dict[RecordKey, bytes] = {}
-        self._relations_digest: bytes | None = None
+        # the mark (snapshot.file_mark: digest and stamp) of the file of each
+        # key whose file holds its current record, and of _relations.rdf when
+        # it holds the relation set; a key or relation set without one must
+        # be written.  _snapshot_whole tells whether the snapshot describes
+        # exactly those files, stamps and records
+        self._marks: dict[RecordKey, bytes] = {}
+        self._relations_mark: bytes | None = None
         self._snapshot_whole = False
 
     @property
@@ -490,16 +525,16 @@ class Store:
         name = _record_file(key)
         with open(os.path.join(root, name), "rb") as handle:
             data = handle.read()
-        if file_digest(data) != self._digests[key]:
+        if file_digest(data) != self._marks[key][:16]:
             raise FormatError(f"{root / name}: changed since the store was loaded")
         with located(name):
             rs, warnings = parse_document(data, cerif_ns=cerif_ns)
         if list(rs.records) != [key]:
             raise FormatError(f"{root / name}: holds other records than {key} alone")
         if warnings or rs.relations:
-            del self._digests[key]
+            del self._marks[key]
         if rs.relations:
-            self._view, self._relations_digest = None, None
+            self._view, self._relations_mark = None, None
             self._relations.update(rs.relations)
         return rs.records[key]
 
@@ -545,11 +580,11 @@ class Store:
             if rank > held_rank or (rank == held_rank and repr(record) > repr(held_record)):
                 self._current[key] = (record, prov)
                 if record != held_record:
-                    self._digests.pop(key, None)
+                    self._marks.pop(key, None)
         size = len(self._relations)
         self._relations.update(rs.relations)
         if len(self._relations) > size:
-            self._relations_digest = None
+            self._relations_mark = None
         return warnings
 
     def _triple_view(self) -> _TripleView:
@@ -632,8 +667,8 @@ class Store:
         target = (root.resolve(), check_namespace(cerif_ns))
         write_all = target != self._on_disk
         pending = RecordSet({key: self._entry(key)[0] for key in keys
-                             if write_all or key not in self._digests})
-        if self._relations and (write_all or self._relations_digest is None):
+                             if write_all or key not in self._marks})
+        if self._relations and (write_all or self._relations_mark is None):
             pending.relations = sorted(self._relations, key=Relation.sort_key)
         for key, fault in writer_faults(pending):
             where = "document relations" if key is None else f"{key.kind} {key.id!r}"
@@ -641,18 +676,18 @@ class Store:
         root.mkdir(parents=True, exist_ok=True)
         expected = {RELATIONS_FILE} if self._relations else set()
         expected.update(map(_record_file, keys))
-        digests = {} if write_all else dict(self._digests)
-        relations_digest = None if write_all else self._relations_digest
+        marks = {} if write_all else dict(self._marks)
+        relations_mark = None if write_all else self._relations_mark
         for key, record in pending.records.items():
             data = serialize_document(RecordSet(records={key: record}),
                                       cerif_ns=cerif_ns).encode("utf-8")
-            (root / _record_file(key)).write_bytes(data)
-            digests[key] = file_digest(data)
+            marks[key] = file_mark(file_digest(data),
+                                   write_file(root / _record_file(key), data))
         if pending.relations:
             data = serialize_document(RecordSet(relations=pending.relations),
                                       cerif_ns=cerif_ns).encode("utf-8")
-            (root / RELATIONS_FILE).write_bytes(data)
-            relations_digest = file_digest(data)
+            relations_mark = file_mark(file_digest(data),
+                                       write_file(root / RELATIONS_FILE, data))
         swept = False
         for name in os.listdir(root):
             if name.endswith(".rdf") and name not in expected:
@@ -662,27 +697,27 @@ class Store:
         if (write_all or pending.records or pending.relations or swept
                 or not self._snapshot_whole or not snapshot.exists()):
             write_atomic(snapshot, snapshot_lines(cerif_ns, self._snapshot_files(
-                keys, digests, relations_digest)))
+                keys, marks, relations_mark)))
 
         write_atomic(root / INDEX_FILE, _index_lines(keys, self._current))
         self._on_disk = target
-        self._digests, self._relations_digest = digests, relations_digest
+        self._marks, self._relations_mark = marks, relations_mark
         self._snapshot_whole = True
 
-    def _snapshot_files(self, keys, digests: dict[RecordKey, bytes],
-                        relations_digest: bytes | None):
-        """(name, digest, records, relations) of each file a save leaves,
-        in name order."""
+    def _snapshot_files(self, keys, marks: dict[RecordKey, bytes],
+                        relations_mark: bytes | None):
+        """(name, mark, records, relations) of each file a save leaves, in
+        name order."""
         files = [(_record_file(key), key) for key in keys]
         if self._relations:
             files.append((RELATIONS_FILE, None))
         files.sort()  # by name alone, as names are unique
         for name, key in files:
             if key is None:
-                yield name, relations_digest, (), sorted(self._relations,
-                                                         key=Relation.sort_key)
+                yield name, relations_mark, (), sorted(self._relations,
+                                                       key=Relation.sort_key)
             else:
-                yield name, digests[key], ((key, self._current[key][0]),), ()
+                yield name, marks[key], ((key, self._current[key][0]),), ()
 
     @classmethod
     def load(cls, directory: str | os.PathLike, *,
@@ -694,13 +729,13 @@ class Store:
         index does not list and an indexed key that no record file holds
         raise FormatError.
 
-        A file the snapshot holds, by name and digest (see the module
-        docstring), gives the records saved into it and keeps its digest:
-        its bytes are what the serializer wrote for that very record.  Its
-        line is JSON-decoded and its name, digest and key checked here, but
-        the record's values stay undecoded until the record is first used
-        (see current); a query flattens them as they are.  Of a
-        file that is parsed instead, a record read from anything but its own
+        A file the snapshot holds, by name and by stamp or digest (see the
+        module docstring), gives the records saved into it and keeps its
+        digest and stamp: its bytes are what the serializer wrote for that
+        very record.  Its line is JSON-decoded and its name, digest and key
+        checked here, but the record's values stay undecoded until the
+        record is first used (see current); a query flattens them as they
+        are.  Of a file that is parsed instead, a record read from anything but its own
         kind.id.rdf file holding nothing else, and whatever the file gave
         with reader warnings, get no digest, nor does _relations.rdf when a
         relation came from any other file: the next save into this directory
@@ -714,29 +749,39 @@ class Store:
             return store
         provenance = _read_index(index_path)
         held_in: dict[RecordKey, str] = {}
-        relations_digest, relations_elsewhere = None, False
+        relations_mark, relations_elsewhere = None, False
         names = sorted(name for name in os.listdir(root) if name.endswith(".rdf"))
         prefix = os.path.join(root, "")
         hits = 0
         with SnapshotReader(root / SNAPSHOT_FILE, cerif_ns) as snapshot:
             for name in names:
-                with open(prefix + name, "rb") as handle:
-                    data = handle.read()
-                digest = file_digest(data)
-                taken = snapshot.take(name, digest)
-                if taken is not None and _own_file(name, *taken):
-                    hits += 1
-                    own_file = True
-                    records, relations = taken
-                else:
-                    with located(name):
-                        rs, warnings = parse_document(data, cerif_ns=cerif_ns)
-                    records, relations = rs.records, rs.relations
-                    own_file = not warnings and _own_file(name, records, relations)
+                fd = os.open(prefix + name, os.O_RDONLY)
+                try:
+                    stamp = file_stamp(os.fstat(fd))
+                    line = snapshot.line(name)
+                    digest, data = snapshot.vouched(line, stamp), None
+                    if digest is None:
+                        data = _read_open(fd, stamp[0])
+                        digest = file_digest(data)
+                    taken = snapshot.take(line, digest, stamp)
+                    if taken is not None and _own_file(name, *taken):
+                        hits += 1
+                        own_file = True
+                        records, relations = taken
+                    else:
+                        if data is None:  # vouched for, but its line unusable
+                            data = _read_open(fd, stamp[0])
+                            digest = file_digest(data)
+                        with located(name):
+                            rs, warnings = parse_document(data, cerif_ns=cerif_ns)
+                        records, relations = rs.records, rs.relations
+                        own_file = not warnings and _own_file(name, records, relations)
+                finally:
+                    os.close(fd)
                 store._relations.update(relations)
                 if relations:
                     if own_file:
-                        relations_digest = digest
+                        relations_mark = file_mark(digest, stamp)
                     else:
                         relations_elsewhere = True
                 for key, record in records.items():
@@ -750,7 +795,7 @@ class Store:
                     held_in[key] = name
                     store._current[key] = (record, prov)
                     if own_file:
-                        store._digests[key] = digest
+                        store._marks[key] = file_mark(digest, stamp)
             store._snapshot_whole = snapshot.whole and hits == len(names)
         if provenance:
             subject = min(provenance)
@@ -758,6 +803,6 @@ class Store:
             raise FormatError(f"{index_path}: no record file holds {subject}; "
                               f"expected {_record_file(RecordKey(kind, ident))}")
         if not relations_elsewhere:
-            store._relations_digest = relations_digest
+            store._relations_mark = relations_mark
         store._on_disk = (root.resolve(), cerif_ns)
         return store

@@ -252,6 +252,16 @@ def test_plan_per_object_duplicates_relations():
     assert rel in person_file.all_relations()
 
 
+@pytest.mark.parametrize("kind", [ExchangeKind.ALL, ExchangeKind.PER_OBJECT])
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029"])
+def test_plan_session_refuses_an_id_holding_a_line_or_paragraph_separator(kind, separator):
+    # the registry check_session writes is read with str.splitlines
+    rs = sample_set()
+    rs.add(Person(id=f"a{separator}b", family_names="Sep"))
+    with pytest.raises(InvariantViolation, match="holds '/', '\\\\' or a control character"):
+        plan_session(rs, "TUWIEN", D(2001, 6, 6), kind)
+
+
 def test_plan_session_needs_full_date():
     with pytest.raises(InvariantViolation):
         plan_session(sample_set(), "TUWIEN", D(2001, 6), ExchangeKind.ALL)

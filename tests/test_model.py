@@ -45,7 +45,7 @@ def test_file_safe_ids(ident):
 
 
 @pytest.mark.parametrize("ident", ["z/../escaped", "/", "a\\b", "a\x00b", "a\x1fb",
-                                   "a\x7f", "a\x85", "\x9f"])
+                                   "a\x7f", "a\x85", "\x9f", "a\u2028b", "\u2029"])
 def test_ids_that_cannot_name_a_file(ident):
     assert not file_safe_id(ident)
 

@@ -7,6 +7,10 @@ import json
 import os
 import random
 import re
+import shutil
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -20,6 +24,7 @@ from cerifrdf.rdfxml import CERIF_NS, RecordSet, parse_document, serialize_docum
 from cerifrdf.store import INDEX_FILE, SNAPSHOT_FILE, Store, TriplePattern
 
 import randgen
+from conftest import cli_env
 from test_store import (
     D,
     OTHER_NS,
@@ -46,6 +51,20 @@ def parses(monkeypatch) -> list[bytes]:
 
     monkeypatch.setattr(store_module, "parse_document", counting_parse)
     return parsed
+
+
+@pytest.fixture
+def reads(monkeypatch) -> list[bytes]:
+    """The bytes of each record file that later loads read."""
+    read = []
+    read_open = store_module._read_open
+
+    def counting_read(fd, size):
+        read.append(read_open(fd, size))
+        return read[-1]
+
+    monkeypatch.setattr(store_module, "_read_open", counting_read)
+    return read
 
 
 def seeded_store(seed: int, flawed: bool) -> Store:
@@ -127,36 +146,48 @@ def _set(path, value):
     return edit
 
 
+def _both(*edits):
+    """An edit that makes each of *edits* in turn."""
+    def edit(entry):
+        for one in edits:
+            one(entry)
+    return edit
+
+
 # edits of the person file's line that leave it unusable, each to a value of
-# the wrong JSON type, of another digest or of a key not the file's own
+# the wrong JSON type, of another digest or of a key not the file's own.  A
+# line whose stamp is its file's vouches for its digest, so another digest
+# comes with another stamp
 PERSON_EDITS = [
     _set([1], 7),
-    _set([1], "0" * 32),
-    _set([2], "records"),
-    _set([2, 0, 0], 7),
-    _set([2, 0, 0], "widget"),
-    _set([2, 0, 1], 273),
-    _set([2, 0, 1], "274"),
-    _set([2, 0, 2], []),
-    _set([2, 0, 2], {"family_names": 7}),
-    _set([2, 0, 2], {"id": "274"}),
-    _set([2, 0, 2], {"sex_code": "M"}),
-    _set([2, 0, 2], {"sex": ["M"]}),
-    _set([3], [["orgunit", "TUWIEN", "person", "273", "employs", False]]),
-    lambda entry: entry[2].append(entry[2][0]),
-    lambda entry: entry[2].append(["orgunit", "TUWIEN", {}]),
+    _both(_set([1], "0" * 32), _set([2], None)),
+    _both(_set([1], "0" * 32), lambda entry: entry[2].__setitem__(3, entry[2][3] + 1)),
+    _set([3], "records"),
+    _set([3, 0, 0], 7),
+    _set([3, 0, 0], "widget"),
+    _set([3, 0, 1], 273),
+    _set([3, 0, 1], "274"),
+    _set([3, 0, 2], []),
+    _set([3, 0, 2], {"family_names": 7}),
+    _set([3, 0, 2], {"id": "274"}),
+    _set([3, 0, 2], {"sex_code": "M"}),
+    _set([3, 0, 2], {"sex": ["M"]}),
+    _set([4], [["orgunit", "TUWIEN", "person", "273", "employs", False]]),
+    lambda entry: entry[3].append(entry[3][0]),
+    lambda entry: entry[3].append(["orgunit", "TUWIEN", {}]),
     lambda entry: entry.append(None),
+    lambda entry: entry.pop(2),
 ]
 RELATIONS_EDITS = [
-    _set([3, 0, 5], "false"),
-    _set([3, 0], ["orgunit", "TUWIEN", "person", "273", "employs"]),
-    _set([3, 0, 0], None),
-    _set([2], [["person", "273", {"family_names": "Niedermayer"}]]),
+    _set([4, 0, 5], "false"),
+    _set([4, 0], ["orgunit", "TUWIEN", "person", "273", "employs"]),
+    _set([4, 0, 0], None),
+    _set([3], [["person", "273", {"family_names": "Niedermayer"}]]),
 ]
 ORGUNIT_EDITS = [
-    _set([2, 0, 2, "names", 0, 1], "X"),
-    _set([2, 0, 2, "names", 0], ["de", "O"]),
-    _set([2, 0, 2, "names"], "TU Wien"),
+    _set([3, 0, 2, "names", 0, 1], "X"),
+    _set([3, 0, 2, "names", 0], ["de", "O"]),
+    _set([3, 0, 2, "names"], "TU Wien"),
 ]
 
 
@@ -172,7 +203,7 @@ def unusable_variants(directory) -> list[list[bytes]]:
             b"\n", b"not json\n", b"[1, 2, 3, 4]\n", b'{"person.273.rdf": 1}\n',
             b"[" * 100_000 + b"\n", b"\xff\xfe\n")),
         [header, relations, person, orgunit],
-        [header.replace(b"/1", b"/2"), relations, orgunit, person],
+        [header.replace(b"/2", b"/3"), relations, orgunit, person],
         [b"garbage\n", relations, orgunit, person],
     ]
 
@@ -196,6 +227,171 @@ def test_an_edited_record_file_of_the_same_size_and_mtime_is_parsed(tmp_path):
     assert path.stat().st_size == stat.st_size
     current, _ = load_alike(tmp_path)
     assert current[RecordKey("person", "273")][0].family_names == "Niedermeier"
+
+
+def record_files(directory) -> list:
+    return sorted(path for path in directory.iterdir() if path.suffix == ".rdf")
+
+
+def stamp_of(path) -> list:
+    st = os.stat(path)
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+
+
+def snapshot_after_every_file(directory) -> None:
+    """Put the snapshot's mtime a second past every file's ctime, so that
+    the racy-git rule lets each stamp that matches vouch for its line."""
+    latest = max(os.stat(path).st_ctime_ns for path in directory.iterdir()) + 10**9
+    os.utime(directory / SNAPSHOT_FILE, ns=(latest, latest))
+
+
+def test_a_copied_store_loads_by_digest(tmp_path, monkeypatch, reads, parses):
+    home, copy = tmp_path / "home", tmp_path / "copy"
+    seeded_store(2501, flawed=False).save(home)
+    shutil.copytree(home, copy)  # new inodes and ctimes, the mtimes kept
+    snapshot_after_every_file(copy)
+    loaded = Store.load(copy)
+    assert sorted(reads) == sorted(path.read_bytes() for path in record_files(copy))
+    assert parses == []
+    assert (dict(loaded.current), loaded.relations) == load_outcome(copy, snapshot=False)
+    # the stamps were not the files', so the next save writes the files' own
+    written = recorded_writes(monkeypatch)
+    loaded.save(copy)
+    assert written == [SNAPSHOT_FILE, INDEX_FILE]
+    snapshot_after_every_file(copy)
+    reads.clear()
+    parses.clear()
+    assert Store.load(copy).current == loaded.current
+    assert (reads, parses) == ([], [])
+
+
+@pytest.mark.parametrize("when", ["before every ctime", "at the person's ctime"])
+def test_a_file_changed_in_or_after_the_snapshots_tick_is_hashed(tmp_path, reads, parses,
+                                                                 when):
+    store = built_store()
+    store.save(tmp_path)
+    person = tmp_path / "person.273.rdf"
+    ctimes = {path.name: os.stat(path).st_ctime_ns for path in record_files(tmp_path)}
+    written = (min(ctimes.values()) - 1 if when == "before every ctime"
+               else ctimes[person.name])
+    os.utime(tmp_path / SNAPSHOT_FILE, ns=(written, written))
+    loaded = Store.load(tmp_path)
+    hashed = {name for name, ctime in ctimes.items() if ctime >= written}
+    assert person.name in hashed
+    assert sorted(reads) == sorted((tmp_path / name).read_bytes() for name in hashed)
+    assert parses == []
+    assert (loaded.current, loaded.relations) == (store.current, store.relations)
+
+
+def test_a_record_file_swapped_in_by_replace_is_parsed(tmp_path, parses):
+    built_store().save(tmp_path)
+    path, swap = tmp_path / "person.273.rdf", tmp_path / "swap"
+    stat = path.stat()
+    swap.write_bytes(path.read_bytes().replace(b"Niedermayer", b"Niedermeier"))
+    os.utime(swap, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    os.replace(swap, path)
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    assert path.stat().st_ino != stat.st_ino
+    snapshot_after_every_file(tmp_path)
+    loaded = Store.load(tmp_path)
+    assert parses == [path.read_bytes()]
+    assert loaded.current[RecordKey("person", "273")][0].family_names == "Niedermeier"
+
+
+@pytest.mark.parametrize("field", ["size", "mtime", "ctime", "inode"])
+def test_a_line_whose_stamp_differs_from_its_files_in_one_field_is_not_taken_unread(
+        tmp_path, parses, field):
+    # the line holds the old record; the line's stamp is the edited file's,
+    # but for one field
+    built_store().save(tmp_path)
+    path = tmp_path / "person.273.rdf"
+    path.write_bytes(path.read_bytes().replace(b"Niedermayer", b"Niedermeier"))
+    stamp = stamp_of(path)
+    stamp[["size", "mtime", "ctime", "inode"].index(field)] += 1
+    header, relations, orgunit, person = snapshot_lines(tmp_path)
+    (tmp_path / SNAPSHOT_FILE).write_bytes(
+        b"".join([header, relations, orgunit, edited(person, _set([2], stamp))]))
+    snapshot_after_every_file(tmp_path)
+    loaded = Store.load(tmp_path)
+    assert parses == [path.read_bytes()]
+    assert loaded.current[RecordKey("person", "273")][0].family_names == "Niedermeier"
+
+
+def test_a_file_dated_past_2262_gets_no_stamp(tmp_path, monkeypatch, reads, parses):
+    # its mtime in nanoseconds does not fit in 64 bits
+    store = built_store()
+    store.save(tmp_path)
+    person = tmp_path / "person.273.rdf"
+    future = 400 * 365 * 86_400 * 10**9 + person.stat().st_mtime_ns
+    os.utime(person, ns=(future, future))
+    if person.stat().st_mtime_ns < 2**63:
+        pytest.skip("the file system cannot date a file past 2262")
+    written = recorded_writes(monkeypatch)
+    Store.load(tmp_path).save(tmp_path)
+    assert written == [SNAPSHOT_FILE, INDEX_FILE]
+    assert [json.loads(line)[2] is None for line in snapshot_lines(tmp_path)[1:]] == [
+        False, False, True]
+    snapshot_after_every_file(tmp_path)
+    reads.clear()
+    assert (Store.load(tmp_path).current, parses) == (store.current, [])
+    assert reads == [person.read_bytes()]
+
+
+# Store.load of the directory argv[1], printing the names of the files it
+# read any byte of through os.read
+READS_BY_NAME = """
+import json, os, sys
+from cerifrdf.store import Store
+names, read = {}, set()
+real_open, real_read = os.open, os.read
+def opening(path, *args, **kwargs):
+    fd = real_open(path, *args, **kwargs)
+    names[fd] = os.path.basename(path)
+    return fd
+def reading(fd, size):
+    data = real_read(fd, size)
+    if data:
+        read.add(names.get(fd))
+    return data
+os.open, os.read = opening, reading
+Store.load(sys.argv[1])
+print(json.dumps(sorted(read)))
+"""
+
+
+def test_a_fresh_process_reads_no_file_changed_before_the_snapshot(tmp_path):
+    seeded_store(2601, flawed=False).save(tmp_path)
+    time.sleep(0.05)  # past the clock tick of the record files' ctimes
+    (tmp_path / SNAPSHOT_FILE).unlink()
+    Store.load(tmp_path).save(tmp_path)  # writes the snapshot alone
+    touched = record_files(tmp_path)[0]
+    touched.write_bytes(touched.read_bytes())  # the guard counts: it is read
+    written = os.stat(tmp_path / SNAPSHOT_FILE).st_mtime_ns
+    older = {path.name for path in record_files(tmp_path)
+             if os.stat(path).st_ctime_ns < written}
+    assert len(older) == len(record_files(tmp_path)) - 1
+    proc = subprocess.run([sys.executable, "-c", READS_BY_NAME, str(tmp_path)],
+                          env=cli_env(), capture_output=True, text=True, check=True)
+    read = set(json.loads(proc.stdout))
+    assert touched.name in read
+    assert not read & older
+
+
+def test_a_snapshot_of_the_first_format_is_ignored_once(tmp_path, monkeypatch, parses):
+    built_store().save(tmp_path)
+    header, *lines = snapshot_lines(tmp_path)
+    (tmp_path / SNAPSHOT_FILE).write_bytes(b"".join(
+        [header.replace(b"/2", b"/1"), *(edited(line, lambda entry: entry.pop(2))
+                                         for line in lines)]))
+    store = Store.load(tmp_path)
+    assert len(parses) == 3
+    written = recorded_writes(monkeypatch)
+    store.save(tmp_path)
+    assert written == [SNAPSHOT_FILE, INDEX_FILE]
+    assert snapshot_lines(tmp_path)[0].startswith(b'["cerifrdf-snapshot/2"')
+    parses.clear()
+    assert Store.load(tmp_path).current == store.current
+    assert parses == []
 
 
 # an edit of a saved store, and the refusal it gives
@@ -303,7 +499,7 @@ def test_unusable_lines_answer_and_merge_alike(tmp_path):
             assert taken.to_triples() == parsed.to_triples()
 
 
-MISTYPED_PERSON = _set([2, 0, 2], {"family_names": 7})
+MISTYPED_PERSON = _set([3, 0, 2], {"family_names": 7})
 
 
 @pytest.mark.parametrize("use", ["current", "query", "merge"])
@@ -361,13 +557,14 @@ def test_a_decoded_line_encodes_to_the_bytes_it_was_read_from(tmp_path, seed):
     _, *lines = snapshot_lines(tmp_path)
     assert lines
     for line in lines:
-        name, digest, rows, relation_rows = json.loads(line)
+        name, digest, stamp, rows, relation_rows = json.loads(line)
         held = [(RecordKey(kind, ident), values) for kind, ident, values in rows]
         decoded = [(key, snapshot.decode_record(key, values)) for key, values in held]
         relations = snapshot.CODECS["relations"][1](relation_rows)
         for records in (held, decoded):
             _, again = snapshot.snapshot_lines(
-                CERIF_NS, [(name, bytes.fromhex(digest), records, relations)])
+                CERIF_NS, [(name, snapshot.file_mark(bytes.fromhex(digest), stamp),
+                            records, relations)])
             assert again.encode() == line
 
 
@@ -461,7 +658,7 @@ def test_a_line_that_proves_unusable_leaves_what_a_parse_leaves(tmp_path, monkey
     line = edited(edited(line, _set([1], snapshot.file_digest(path.read_bytes()).hex())),
                   MISTYPED_PERSON)
     (tmp_path / SNAPSHOT_FILE).write_bytes(b"".join([header, relations, orgunit, line]))
-    tampered = files_in(tmp_path)
+    tampered = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     saves = {}
     for use in ("query", "current", "parse"):
         for name, data in tampered.items():

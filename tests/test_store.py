@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import os
 import random
 import stat
@@ -373,8 +374,13 @@ def test_save_layout(tmp_path):
     ]
     snapshot = (tmp_path / SNAPSHOT_FILE).read_text("utf-8").splitlines()
     assert [line.split(",", 1)[0] for line in snapshot] == [
-        '["cerifrdf-snapshot/1"', f'["{RELATIONS_FILE}"', '["orgunit.TUWIEN.rdf"',
+        '["cerifrdf-snapshot/2"', f'["{RELATIONS_FILE}"', '["orgunit.TUWIEN.rdf"',
         '["person.273.rdf"']
+    # each line's stamp is its file's: size, mtime, ctime and inode
+    for line in snapshot[1:]:
+        name, _, stamp, *_ = json.loads(line)
+        st = os.stat(tmp_path / name)
+        assert stamp == [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
     index = (tmp_path / INDEX_FILE).read_text("utf-8")
     assert index == ("orgunit:TUWIEN\ttuwien\t06.06.2001\tper-object\n"
                      "person:273\ttuwien\t06.06.2001\tper-object\n")
@@ -598,8 +604,32 @@ def versioned_batches(rng: random.Random, flawed: bool, count: int = 7) -> list:
     return batches
 
 
+def _unstamped(directory: Path, line: bytes) -> bytes:
+    """A snapshot line with its stamp replaced by true when it is the stamp
+    of its file in *directory*; any other line as it is."""
+    try:
+        entry = json.loads(line)
+        st = os.stat(directory / entry[0])
+    except (ValueError, TypeError, KeyError, IndexError, RecursionError, OSError):
+        return line
+    if type(entry) is not list or len(entry) != 5 or entry[2] != [
+            st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]:
+        return line
+    entry[2] = True
+    return json.dumps(entry, separators=(",", ":")).encode() + b"\n"
+
+
 def files_in(directory) -> dict[str, bytes]:
-    return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+    """Names and bytes of the files in *directory*.  The files of two
+    directories have their own stamps, so each snapshot line's stamp is
+    left out when it is its file's."""
+    directory = Path(directory)
+    files = {path.name: path.read_bytes() for path in directory.iterdir()}
+    if SNAPSHOT_FILE in files:
+        files[SNAPSHOT_FILE] = b"".join(
+            _unstamped(directory, line)
+            for line in files[SNAPSHOT_FILE].splitlines(keepends=True))
+    return files
 
 
 def full_save(store: Store, directory, ns: str = CERIF_NS) -> dict[str, bytes]:
@@ -696,17 +726,17 @@ def test_each_save_leaves_what_a_full_save_writes(tmp_path, seed):
 def recorded_writes(monkeypatch) -> list[str]:
     """Names of the files each later save writes, in order."""
     written = []
-    write_bytes, write_atomic = Path.write_bytes, store_module.write_atomic
+    write_file, write_atomic = store_module.write_file, store_module.write_atomic
 
-    def recording_write_bytes(path, data):
+    def recording_write_file(path, data):
         written.append(path.name)
-        return write_bytes(path, data)
+        return write_file(path, data)
 
     def recording_write_atomic(path, text):
         written.append(path.name)
         write_atomic(path, text)
 
-    monkeypatch.setattr(Path, "write_bytes", recording_write_bytes)
+    monkeypatch.setattr(store_module, "write_file", recording_write_file)
     monkeypatch.setattr(store_module, "write_atomic", recording_write_atomic)
     return written
 
@@ -792,7 +822,7 @@ def test_a_save_that_fails_part_way_loses_nothing(tmp_path, monkeypatch):
             store.merge(changes, prov("tuwien", D(2001, 6, 7)))
             steps = itertools.count()
             with monkeypatch.context() as patch:
-                for owner, name in ((Path, "write_bytes"), (Path, "unlink"),
+                for owner, name in ((store_module, "write_file"), (Path, "unlink"),
                                     (store_module, "write_atomic")):
                     patch.setattr(owner, name, faulty(getattr(owner, name)))
                 try:
@@ -837,6 +867,17 @@ def test_save_refuses_what_the_writer_refuses_before_any_file(tmp_path, fault, n
     assert files_in(tmp_path / "home") == before
     assert not (tmp_path / "away").exists()
     assert Store.load(tmp_path / "home").current == built_store().current
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029"])
+def test_save_refuses_an_id_holding_a_line_or_paragraph_separator(tmp_path, separator):
+    # str.splitlines, which reads the index, breaks at either one
+    store = Store()
+    store.merge(RecordSet({RecordKey("person", f"a{separator}b"): Person(
+        id=f"a{separator}b", family_names="Sep")}), prov("src", D(2001, 6, 6)))
+    with pytest.raises(InvariantViolation, match="store not saved$"):
+        store.save(tmp_path / "st")
+    assert not (tmp_path / "st").exists()
 
 
 def test_save_refuses_a_namespace_that_does_not_read_back(tmp_path):
