@@ -2,6 +2,9 @@
 
 Exit codes follow one convention everywhere: 0 clean, 1 the command ran but
 validation produced findings, 2 the input could not be processed at all.
+A command whose stdout reader has gone (as in `cerifrdf query ... | head`)
+stops quietly with 141, the status a shell reports for a process ended by
+SIGPIPE.
 Diagnostics go to stderr; data and report lines go to stdout or to files.
 The CERIF_RDF_NS environment variable overrides the cerif namespace URI.
 """
@@ -13,8 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (CerifError, DuplicateObject, FormatError, InvariantViolation,
-                     UnrecognizedName, located)
+from .errors import CerifError, FormatError, InvariantViolation, located
 from .exchange import (
     ExchangeKind,
     IdRegistry,
@@ -133,8 +135,8 @@ def cmd_extract(args) -> int:
         for path in args.paths:
             stem = Path(path).stem
             if stem in stems:
-                raise DuplicateObject(f"two pages share the stem {stem!r}, so their "
-                                      f"blocks would overwrite each other in {out}")
+                raise InvariantViolation(f"two pages share the stem {stem!r}, so their "
+                                         f"blocks would overwrite each other in {out}")
             stems.add(stem)
     failures = False
     blocks = {}  # file -> text, written once every page has been read
@@ -200,7 +202,7 @@ def cmd_package(args) -> int:
 def _provenance_for(path: Path, date_flag: str | None) -> tuple[PartialDate, SourceKind]:
     try:
         name = parse_name(path.name)
-    except UnrecognizedName:
+    except FormatError:
         name = None
     if name is not None and name.date.is_full:
         return name.date, SourceKind(name.kind.value)
@@ -312,7 +314,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: send that to
+        # devnull (the recipe in the signal module's note on SIGPIPE)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (CerifError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

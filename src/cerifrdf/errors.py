@@ -8,47 +8,14 @@ class CerifError(Exception):
 
 
 class FormatError(CerifError):
-    """A scalar value (date, list, registry line) does not match its grammar."""
-
-
-class UnknownCode(CerifError):
-    """A translation-type code outside the accepted O/H/M set."""
-
-
-class EncodingError(CerifError):
-    """Input bytes do not decode in the expected or requested text encoding."""
-
-
-class XmlError(CerifError):
-    """The document is not well-formed XML or not a CERIF-RDF document."""
-
-
-class DuplicateId(CerifError):
-    """The same (type, id) pair was declared twice in one document."""
-
-
-class MissingId(CerifError):
-    """A typed node carries no ID attribute."""
+    """Input read from outside the program (a document, export, page,
+    exchange name, store, registry or equivalence file, or an argument)
+    does not fit its format."""
 
 
 class InvariantViolation(CerifError):
-    """A value handed to a writer breaks one of its own stated invariants."""
-
-
-class UnterminatedRecord(CerifError):
-    """A legacy record block was opened but never closed."""
-
-
-class MalformedTagLine(CerifError):
-    """A line inside a legacy record block is neither a tag line nor a continuation."""
-
-
-class UnrecognizedName(CerifError):
-    """A file name does not match any exchange name grammar."""
-
-
-class DuplicateObject(CerifError):
-    """Two inputs would be written to the same file names."""
+    """A writer or container refuses a value that breaks one of its own
+    stated invariants."""
 
 
 @contextmanager

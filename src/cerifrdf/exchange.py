@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import FormatError, InvariantViolation, UnrecognizedName
+from .errors import FormatError, InvariantViolation, located
 from .model import (
     PartialDate,
     RecordKey,
@@ -103,15 +103,6 @@ def format_name(name: ExchangeName) -> str:
             f"{name.identifier}.{date}.rdf")
 
 
-def _full_date(segments: list[str], name: str) -> PartialDate:
-    """The date of three non-empty name segments, which parses full or not
-    at all."""
-    try:
-        return parse_partial_date(".".join(segments))
-    except FormatError as exc:
-        raise UnrecognizedName(f"{name!r}: {exc}") from None
-
-
 def parse_name(text: str) -> ExchangeName:
     """Parse a file name in any of the four families.
 
@@ -120,42 +111,44 @@ def parse_name(text: str) -> ExchangeName:
     """
     segments = [s.strip() for s in text.strip().split(".")]
     if any(not s for s in segments):
-        raise UnrecognizedName(f"{text!r}: empty name segment")
+        raise FormatError(f"{text!r}: empty name segment")
     if len(segments) > 1 and segments[-1].lower() == "rdf":
         segments = segments[:-1]
 
     if segments and segments[0].upper() == "ANNUAL":
         if len(segments) != 3:
-            raise UnrecognizedName(f"{text!r}: expected ANNUAL.ORG.YYYY")
+            raise FormatError(f"{text!r}: expected ANNUAL.ORG.YYYY")
         org, year = segments[1], segments[2]
         if not (year.isdecimal() and len(year) == 4):
-            raise UnrecognizedName(f"{text!r}: {year!r} is not a four-digit year")
-        return ExchangeName(ExchangeKind.ANNUAL, org, PartialDate(int(year)))
+            raise FormatError(f"{text!r}: {year!r} is not a four-digit year")
+        with located(repr(text)):
+            return ExchangeName(ExchangeKind.ANNUAL, org, PartialDate(int(year)))
 
     if segments and segments[0].upper() == "CHANGE":
         if len(segments) < 7:
-            raise UnrecognizedName(
-                f"{text!r}: expected CHANGE.ORG.TYPE.ID.DD.MM.YYYY")
+            raise FormatError(f"{text!r}: expected CHANGE.ORG.TYPE.ID.DD.MM.YYYY")
         org = segments[1]
         rtype = segments[2].lower()
         if rtype not in RECORD_TYPES:
-            raise UnrecognizedName(f"{text!r}: unknown record type {segments[2]!r}")
-        date = _full_date(segments[-3:], text)
+            raise FormatError(f"{text!r}: unknown record type {segments[2]!r}")
+        with located(repr(text)):  # three segments parse full or not at all
+            date = parse_partial_date(".".join(segments[-3:]))
         identifier = ".".join(segments[3:-3])
         return ExchangeName(ExchangeKind.CHANGE, org, date, rtype, identifier)
 
     if len(segments) < 5:
-        raise UnrecognizedName(f"{text!r}: too few segments, date not full")
+        raise FormatError(f"{text!r}: too few segments, date not full")
     org = segments[0]
-    date = _full_date(segments[1:4], text)
+    with located(repr(text)):
+        date = parse_partial_date(".".join(segments[1:4]))
     tail = segments[4:]
     if len(tail) == 1 and tail[0].upper() == "ALL":
         return ExchangeName(ExchangeKind.ALL, org, date)
     rtype = tail[0].lower()
     if rtype not in RECORD_TYPES:
-        raise UnrecognizedName(f"{text!r}: unknown record type {tail[0]!r}")
+        raise FormatError(f"{text!r}: unknown record type {tail[0]!r}")
     if len(tail) < 2:
-        raise UnrecognizedName(f"{text!r}: missing object identifier")
+        raise FormatError(f"{text!r}: missing object identifier")
     identifier = ".".join(tail[1:])
     return ExchangeName(ExchangeKind.PER_OBJECT, org, date, rtype, identifier)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import ClassVar, NamedTuple
 
-from .errors import FormatError, UnknownCode
+from .errors import FormatError
 
 #: Record-type tokens allowed in relation references and exchange file names.
 RECORD_TYPES = ("project", "person", "orgunit", "equipment", "result",
@@ -49,7 +49,7 @@ def normalize_translation_code(token: str, warnings: list[str]) -> TranslationTy
 
     The digit '0' is accepted as a legacy spelling of 'O'; when that happens a
     note is appended to *warnings*.  Anything else outside O/H/M raises
-    UnknownCode.
+    FormatError.
     """
     tok = token.strip()
     if tok == "0":
@@ -58,7 +58,7 @@ def normalize_translation_code(token: str, warnings: list[str]) -> TranslationTy
     try:
         return TranslationType(tok.upper())
     except ValueError:
-        raise UnknownCode(f"unknown translation code {token!r}") from None
+        raise FormatError(f"unknown translation code {token!r}") from None
 
 
 class ProjectStatus(Enum):

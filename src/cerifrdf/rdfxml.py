@@ -33,8 +33,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (CerifError, DuplicateId, FormatError, InvariantViolation, MissingId,
-                     UnknownCode, XmlError)
+from .errors import CerifError, FormatError, InvariantViolation
 from .model import (
     Contact,
     ExpertSkill,
@@ -131,7 +130,7 @@ class RecordSet:
     def add(self, record: Record) -> None:
         key = record.key
         if key in self.records:
-            raise DuplicateId(f"{key.kind} {key.id} already present")
+            raise InvariantViolation(f"{key.kind} {key.id} already present")
         self.records[key] = record
 
     def add_relation(self, relation: Relation) -> None:
@@ -170,16 +169,16 @@ def _inject_namespaces(text: str, cerif_ns: str) -> tuple[str, list[str]]:
     """Add missing standard xmlns declarations to a literal rdf:RDF root tag."""
     m = re.search(r"<rdf:RDF\b", text)
     if m is None:
-        raise XmlError("undeclared namespace prefix and no rdf:RDF root to repair")
+        raise FormatError("undeclared namespace prefix and no rdf:RDF root to repair")
     end = find_tag_end(text, m.start())
     if end is None:
-        raise XmlError("unterminated rdf:RDF start tag")
+        raise FormatError("unterminated rdf:RDF start tag")
     head = text[m.start():end]
     missing = [(p, u) for p, u in
                (("rdf", RDF_NS), ("rdfs", RDFS_NS), ("cerif", cerif_ns))
                if f"xmlns:{p}" not in head]
     if not missing:
-        raise XmlError("undeclared namespace prefix not repairable from the root tag")
+        raise FormatError("undeclared namespace prefix not repairable from the root tag")
     insertion = "".join(f" xmlns:{p}={quoteattr(u)}" for p, u in missing)
     cut = head.rindex("/>") if head.rstrip().endswith("/>") else head.rindex(">")
     repaired = head[:cut] + insertion + head[cut:]
@@ -308,7 +307,7 @@ def _parse_translated(item: ET.Element, cerif_ns: str, warnings: list[str],
             if _first(seen, "trans", local, warnings, where) and token:
                 try:
                     translation = normalize_translation_code(token, warnings)
-                except UnknownCode as exc:
+                except FormatError as exc:
                     warnings.append(f"{where}: {exc}")
         elif "text" not in seen:
             text = _text_of(child)
@@ -409,10 +408,10 @@ def _parse_relation(item: ET.Element, cerif_ns: str, warnings: list[str],
 def _record_id(el: ET.Element, kind: str) -> str:
     raw = el.attrib.get("ID")
     if raw is None:
-        raise MissingId(f"cerif:{kind} node without ID attribute")
+        raise FormatError(f"cerif:{kind} node without ID attribute")
     ident = collapse_ws(raw)
     if not ident:
-        raise MissingId(f"cerif:{kind} node with empty ID attribute")
+        raise FormatError(f"cerif:{kind} node with empty ID attribute")
     return ident
 
 
@@ -577,7 +576,7 @@ def _map_child(child: ET.Element, rs: RecordSet, duplicates: list[RecordKey],
         elif collect_duplicates:
             duplicates.append(key)
         else:
-            raise DuplicateId(f"{key.kind} {key.id} declared more than once")
+            raise FormatError(f"{key.kind} {key.id} declared more than once")
     elif canonical == "relations":
         rs.extend_relations(_read_bag(child, _parse_relation, cerif_ns,
                                       warnings, "document relations"))
@@ -636,7 +635,7 @@ def _read(text: str, cerif_ns: str, collect_duplicates: bool,
     root = next(elements)
     held: CerifError | None = None
     if _split_tag(root.tag) != (RDF_NS, "RDF"):
-        held = XmlError(f"root element is {root.tag}, expected rdf:RDF")
+        held = FormatError(f"root element is {root.tag}, expected rdf:RDF")
     rs = RecordSet()
     duplicates: list[RecordKey] = []
     for child in elements:
@@ -659,7 +658,7 @@ def _parse(data: str | bytes, cerif_ns: str,
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise XmlError(f"document is not UTF-8: {exc}") from None
+            raise FormatError(f"document is not UTF-8: {exc}") from None
     else:
         text = data
     check_namespace(cerif_ns)
@@ -668,8 +667,8 @@ def _parse(data: str | bytes, cerif_ns: str,
     bad = (None if isinstance(data, bytes) or text.isascii()
            else _LONE_SURROGATE.search(text))
     if bad:
-        raise XmlError(f"document text holds lone surrogate {bad.group()!r} "
-                       f"at character {bad.start()}, which UTF-8 cannot encode")
+        raise FormatError(f"document text holds lone surrogate {bad.group()!r} "
+                          f"at character {bad.start()}, which UTF-8 cannot encode")
     try:
         try:
             return _read(text, cerif_ns, collect_duplicates, [])
@@ -679,7 +678,7 @@ def _parse(data: str | bytes, cerif_ns: str,
         repaired, warnings = _inject_namespaces(text, cerif_ns)
         return _read(repaired, cerif_ns, collect_duplicates, warnings)
     except ET.ParseError as exc:
-        raise XmlError(f"not well-formed: {exc}") from None
+        raise FormatError(f"not well-formed: {exc}") from None
 
 
 def parse_document(data: str | bytes, *,
@@ -687,9 +686,8 @@ def parse_document(data: str | bytes, *,
     """Parse one CERIF-RDF document.
 
     Returns the record set together with the list of recovery warnings.
-    Raises XmlError for documents that are not usable at all, DuplicateId when
-    one (type, id) is declared twice and MissingId for typed nodes without an
-    ID attribute.
+    Raises FormatError for a document that is not usable at all, declares
+    one (type, id) twice or holds a typed node without an ID attribute.
     """
     rs, warnings, _ = _parse(data, cerif_ns, collect_duplicates=False)
     return rs, warnings
@@ -700,7 +698,7 @@ def parse_with_duplicates(data: str | bytes, *, cerif_ns: str = CERIF_NS
     """parse_document for a document that may declare one (type, id) twice.
 
     The first declaration is kept; each later one is listed in the third
-    value, in document order, instead of raising DuplicateId.
+    value, in document order, instead of being refused.
     """
     return _parse(data, cerif_ns, collect_duplicates=True)
 

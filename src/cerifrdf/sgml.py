@@ -14,8 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import (EncodingError, FormatError, MalformedTagLine, MissingId,
-                     UnterminatedRecord)
+from .errors import FormatError
 from .model import (
     Contact,
     ExpertSkill,
@@ -64,12 +63,12 @@ def parse_sgml(data: str | bytes,
     """Parse legacy export text into records plus unknown-tag warnings.
 
     Bytes are decoded with *encoding*; bytes that do not decode, or an
-    encoding name Python does not know, raise EncodingError.
+    encoding name Python does not know, raise FormatError.
     """
     try:
         text = data.decode(encoding) if isinstance(data, bytes) else data
     except (UnicodeDecodeError, LookupError) as exc:
-        raise EncodingError(f"export not readable as {encoding}: {exc}") from None
+        raise FormatError(f"export not readable as {encoding}: {exc}") from None
     records: list[LegacyRecord] = []
     warnings: list[str] = []
     # the open record's entries, each a tag and the parts of its value
@@ -79,27 +78,27 @@ def parse_sgml(data: str | bytes,
         if line.startswith("<"):
             if line == "<RECORD></RECORD>":
                 if entries is not None:
-                    raise MalformedTagLine(f"line {lineno}: record opened inside a record")
+                    raise FormatError(f"line {lineno}: record opened inside a record")
                 records.append(LegacyRecord())
                 continue
             if line == "<RECORD>":
                 if entries is not None:
-                    raise UnterminatedRecord(
+                    raise FormatError(
                         f"line {lineno}: new record before the previous one closed")
                 entries = []
                 continue
             if line == "</RECORD>":
                 if entries is None:
-                    raise MalformedTagLine(f"line {lineno}: </RECORD> without <RECORD>")
+                    raise FormatError(f"line {lineno}: </RECORD> without <RECORD>")
                 records.append(LegacyRecord(entries=tuple(
                     (tag, " ".join(p for p in parts if p)) for tag, parts in entries)))
                 entries = None
                 continue
             m = _TAG_LINE.match(line)
             if m is None:
-                raise MalformedTagLine(f"line {lineno}: {line!r}")
+                raise FormatError(f"line {lineno}: {line!r}")
             if entries is None:
-                raise MalformedTagLine(f"line {lineno}: tag line outside a record")
+                raise FormatError(f"line {lineno}: tag line outside a record")
             tag = m.group(1)
             entries.append((tag, [collapse_ws(m.group(2))]))
             if tag not in KNOWN_TAGS:
@@ -111,10 +110,10 @@ def parse_sgml(data: str | bytes,
             warnings.append(f"line {lineno}: text outside any record ignored")
             continue
         if not entries:
-            raise MalformedTagLine(f"line {lineno}: value text before the first tag")
+            raise FormatError(f"line {lineno}: value text before the first tag")
         entries[-1][1].append(collapse_ws(line))
     if entries is not None:
-        raise UnterminatedRecord("record still open at end of input")
+        raise FormatError("record still open at end of input")
     return records, warnings
 
 
@@ -160,7 +159,7 @@ def map_record(lr: LegacyRecord, export_date: PartialDate) -> ConvertedRecord:
     warnings: list[str] = []
     rcn = lr.first("RCN")
     if not rcn:
-        raise MissingId("legacy record without an RCN identifier")
+        raise FormatError("legacy record without an RCN identifier")
 
     skills: list[ExpertSkill] = []
     for tag, value in lr.entries:

@@ -78,7 +78,7 @@ from enum import Enum
 from itertools import chain
 from pathlib import Path
 
-from .errors import CerifError, EncodingError, FormatError, InvariantViolation, located
+from .errors import CerifError, FormatError, InvariantViolation, located
 from .model import (
     PartialDate,
     Record,
@@ -104,11 +104,11 @@ SNAPSHOT_FILE = "_snapshot.jsonl"
 
 
 def read_utf8(path: Path) -> str:
-    """Text of a UTF-8 file; undecodable bytes raise EncodingError."""
+    """Text of a UTF-8 file; undecodable bytes raise FormatError."""
     try:
         return path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: not UTF-8: {exc}") from None
+        raise FormatError(f"{path}: not UTF-8: {exc}") from None
 
 
 def read_rows(path: Path, width: int, read_row) -> dict:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from cerifrdf.cli import main
 from cerifrdf.htmlbridge import render_html
 from cerifrdf.model import (
+    PartialDate,
     Person,
     Project,
     ProjectStatus,
@@ -17,6 +19,7 @@ from cerifrdf.model import (
     TranslationType,
 )
 from cerifrdf.rdfxml import RecordSet, parse_document, serialize_document
+from cerifrdf.store import Provenance, SourceKind, Store
 
 from conftest import DATA_DIR, cli_env
 
@@ -389,6 +392,59 @@ def test_gather_plain_file_without_date_fails(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "no usable date" in captured.err
+
+
+def test_gather_falls_back_to_date_for_an_annual_year_out_of_range(tmp_path, capsys):
+    # four digits, but no year a date holds: the name is refused as any
+    # other unparseable name is, so --date dates the file
+    doc = write_doc(tmp_path / "ANNUAL.ORG.0999.rdf", linked_pair())
+    store_dir = tmp_path / "store"
+    code = main(["gather", doc, "--store", str(store_dir), "--date", "01.02.2003"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "MERGED ANNUAL.ORG.0999.rdf 2\n"
+    prov = Provenance("ANNUAL.ORG.0999.rdf", PartialDate(2003, 2, 1), SourceKind.ALL)
+    assert {p for _, p in Store.load(store_dir).current.values()} == {prov}
+
+
+def test_query_into_a_closed_pipe_stops_quietly(tmp_path, capsys):
+    rs = RecordSet()
+    for i in range(400):
+        rs.add(Person(id=f"p{i}", family_names="N" * 500))
+    store_dir = tmp_path / "store"
+    doc = write_doc(tmp_path / "site.rdf", rs)
+    assert main(["gather", doc, "--store", str(store_dir), "--date", "06.06.2001"]) == 0
+    capsys.readouterr()
+    # more than a pipe buffer (64 KiB) of answers, so the query is still
+    # writing when the reader goes
+    with subprocess.Popen(
+            [sys.executable, "-m", "cerifrdf.cli", "query", "(?, ?, ?)",
+             "--store", str(store_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()) as proc:
+        assert proc.stdout.read(10) == b"person:p0\t"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 141
+
+
+def test_query_into_a_pipe_closed_before_it_writes_stops_quietly(tmp_path):
+    # an answer short enough to wait in stdout's buffer until the command
+    # has returned, into a pipe whose reader is gone from the start; the
+    # buffer is there only when stdout is buffered
+    store_dir = tmp_path / "store"
+    doc = write_doc(tmp_path / "site.rdf", linked_pair())
+    assert main(["gather", doc, "--store", str(store_dir), "--date", "06.06.2001"]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cerifrdf.cli", "query", "(?, ?, ?)",
+             "--store", str(store_dir)],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def _tree(root):

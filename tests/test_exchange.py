@@ -6,11 +6,7 @@ import tracemalloc
 import pytest
 
 from cerifrdf.cli import main
-from cerifrdf.errors import (
-    FormatError,
-    InvariantViolation,
-    UnrecognizedName,
-)
+from cerifrdf.errors import FormatError, InvariantViolation
 from cerifrdf.exchange import (
     ExchangeKind,
     ExchangeName,
@@ -109,25 +105,33 @@ def test_whitespace_around_segments_tolerated():
     assert name.organization == "TUWIEN"
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "TUWIEN",
-    "TUWIEN..06.2001.ALL",
-    "TUWIEN.06.2001.ALL",
-    "TUWIEN.00.06.2001.ALL",
-    "TUWIEN.06.06.2001",
-    "TUWIEN.06.06.2001.COMMITTEE.X",
-    "TUWIEN.06.06.2001.PROJECT",
-    "ANNUAL.TUWIEN.01.05.2001.rdf",
-    "ANNUAL.TUWIEN.99.rdf",
-    "ANNUAL.TUWIEN.²⁰⁰¹.rdf",
-    "TUWIEN.06.06.²⁰⁰¹.ALL",
-    "CHANGE.TUWIEN.PROJECT.01.05.2001.rdf",
-    "CHANGE.TUWIEN.COMMITTEE.X.01.05.2001.rdf",
-])
+# each name parse_name refuses, with what its refusal says after the name
+UNPARSEABLE_NAMES = {
+    "": "empty name segment",
+    "TUWIEN": "too few segments, date not full",
+    "TUWIEN..06.2001.ALL": "empty name segment",
+    "TUWIEN.06.2001.ALL": "too few segments, date not full",
+    "TUWIEN.00.06.2001.ALL":
+        "zero date field in '00.06.2001'; omit an unknown day or month instead",
+    "TUWIEN.06.06.2001": "too few segments, date not full",
+    "TUWIEN.06.06.2001.COMMITTEE.X": "unknown record type 'COMMITTEE'",
+    "TUWIEN.06.06.2001.PROJECT": "missing object identifier",
+    "ANNUAL.TUWIEN.01.05.2001.rdf": "expected ANNUAL.ORG.YYYY",
+    "ANNUAL.TUWIEN.99.rdf": "'99' is not a four-digit year",
+    "ANNUAL.TUWIEN.²⁰⁰¹.rdf": "'²⁰⁰¹' is not a four-digit year",
+    "ANNUAL.TUWIEN.0999.rdf": "year 999 outside 1000-9999",
+    "TUWIEN.06.06.²⁰⁰¹.ALL": "non-numeric date field '²⁰⁰¹' in '06.06.²⁰⁰¹'",
+    "TUWIEN.01.01.0999.ALL": "year 999 outside 1000-9999",
+    "CHANGE.TUWIEN.PROJECT.01.05.2001.rdf": "expected CHANGE.ORG.TYPE.ID.DD.MM.YYYY",
+    "CHANGE.TUWIEN.COMMITTEE.X.01.05.2001.rdf": "unknown record type 'COMMITTEE'",
+}
+
+
+@pytest.mark.parametrize("text", UNPARSEABLE_NAMES)
 def test_unparseable_names_rejected(text):
-    with pytest.raises(UnrecognizedName):
+    with pytest.raises(FormatError) as err:
         parse_name(text)
+    assert str(err.value) == f"{text!r}: {UNPARSEABLE_NAMES[text]}"
 
 
 def test_format_name_invariants():
@@ -174,7 +178,7 @@ def test_format_name_accepts_exactly_the_identifiers_that_read_back():
                                 if kind is ExchangeKind.PER_OBJECT else
                                 f"CHANGE.TUWIEN.PERSON.{identifier}.06.06.2001.rdf")
             reads_back = parsed.identifier == identifier
-        except UnrecognizedName:
+        except FormatError:
             reads_back = False
         if kind is ExchangeKind.PER_OBJECT:
             # the validator applies the same rules, so the discard cascade

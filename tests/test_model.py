@@ -12,7 +12,7 @@ import re
 import pytest
 
 import cerifrdf
-from cerifrdf.errors import FormatError, UnknownCode
+from cerifrdf.errors import FormatError
 from cerifrdf.model import (
     Contact,
     OrgUnit,
@@ -211,9 +211,9 @@ def test_zero_translation_code_warns():
 
 def test_unknown_translation_code_raises():
     warnings = []
-    with pytest.raises(UnknownCode):
+    with pytest.raises(FormatError, match="^unknown translation code 'X'$"):
         normalize_translation_code("X", warnings)
-    with pytest.raises(UnknownCode):
+    with pytest.raises(FormatError, match="^unknown translation code ''$"):
         normalize_translation_code("", warnings)
     assert warnings == []
 

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from cerifrdf import rdfxml
-from cerifrdf.errors import CerifError, DuplicateId, MissingId, XmlError
+from cerifrdf.errors import CerifError, FormatError
 from cerifrdf.model import RecordKey
 from cerifrdf.rdfxml import CERIF_NS, parse_document, parse_with_duplicates
 
@@ -101,7 +101,7 @@ def test_golden_recoveries_hold_streamed(monkeypatch):
 
 @pytest.mark.parametrize("doc, message", test_rdfxml.REPAIR_REFUSALS)
 def test_namespace_repair_refusals_stream(doc, message):
-    assert assert_streams(doc)[0] == (XmlError, message)
+    assert assert_streams(doc)[0] == (FormatError, message)
 
 
 # ---------------------------------------------------------------------------
@@ -114,26 +114,27 @@ RECORDS = "".join(f'<cerif:person ID="{i}"><cerif:person.per_sex>M</cerif:person
 def test_parse_error_late_beats_missing_id_early():
     doc = wrap("<cerif:project></cerif:project>" + RECORDS)[:-5]
     for result in assert_streams(doc):
-        assert result[0] is XmlError
+        assert result[0] is FormatError
         assert result[1].startswith("not well-formed: ")
 
 
 def test_duplicate_key_early_loses_to_parse_error_late():
     doc = wrap('<cerif:person ID="0"/>' + RECORDS + "<cerif:person ID='9'>")
     for result in assert_streams(doc):
-        assert result[0] is XmlError
+        assert result[0] is FormatError
+        assert result[1].startswith("not well-formed: ")
 
 
 def test_duplicate_key_without_parse_error_is_refused_streamed():
     doc = wrap(RECORDS + '<cerif:person ID="3"/>')
     document, with_duplicates = assert_streams(doc)
-    assert document == (DuplicateId, "person 3 declared more than once")
+    assert document == (FormatError, "person 3 declared more than once")
     assert with_duplicates[3] == [RecordKey("person", "3")]
 
 
 def test_missing_id_is_refused_streamed():
     document, with_duplicates = assert_streams(wrap(RECORDS + "<cerif:orgunit/>"))
-    assert document == with_duplicates == (MissingId,
+    assert document == with_duplicates == (FormatError,
                                            "cerif:orgunit node without ID attribute")
 
 
@@ -153,11 +154,11 @@ def test_wrong_root_loses_to_parse_error():
     doc = (f'<cerif:project xmlns:cerif="{CERIF_NS}" ID="1">'
            + RECORDS + "<cerif:person ID='x'></cerif:project>")
     for result in assert_streams(doc):
-        assert result[0] is XmlError
+        assert result[0] is FormatError
         assert result[1].startswith("not well-formed: mismatched tag")
     well_formed = f'<cerif:project xmlns:cerif="{CERIF_NS}" ID="1">{RECORDS}</cerif:project>'
     assert assert_streams(well_formed)[0] == (
-        XmlError, f"root element is {{{CERIF_NS}}}project, expected rdf:RDF")
+        FormatError, f"root element is {{{CERIF_NS}}}project, expected rdf:RDF")
 
 
 def test_root_that_begins_in_the_last_chunk():
@@ -172,8 +173,8 @@ def test_root_that_begins_in_the_last_chunk():
 def test_lone_surrogate_in_text_is_refused_whole_and_streamed():
     doc = wrap(RECORDS.replace('ID="5"', 'ID="5\ud800"'))
     assert assert_streams(doc)[0] == (
-        XmlError, "document text holds lone surrogate '\\ud800' at character "
-                  f"{doc.index(chr(0xD800))}, which UTF-8 cannot encode")
+        FormatError, "document text holds lone surrogate '\\ud800' at character "
+                     f"{doc.index(chr(0xD800))}, which UTF-8 cannot encode")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from cerifrdf import sgml
-from cerifrdf.errors import MalformedTagLine, MissingId, UnterminatedRecord
+from cerifrdf.errors import FormatError
 from cerifrdf.model import RecordKey, TranslationType, parse_partial_date
 from cerifrdf.sgml import (
     LegacyRecord,
@@ -56,20 +56,21 @@ def test_unknown_tag_warns_with_line_number():
 
 
 def test_unterminated_record_raises():
-    with pytest.raises(UnterminatedRecord):
+    with pytest.raises(FormatError, match="^record still open at end of input$"):
         parse_sgml("<RECORD>\n<RCN>X-1\n")
-    with pytest.raises(UnterminatedRecord):
+    with pytest.raises(FormatError,
+                       match="^line 3: new record before the previous one closed$"):
         parse_sgml("<RECORD>\n<RCN>X-1\n<RECORD>\n")
 
 
 def test_malformed_lines_raise():
-    with pytest.raises(MalformedTagLine):
+    with pytest.raises(FormatError, match="^line 1: </RECORD> without <RECORD>$"):
         parse_sgml("</RECORD>\n")
-    with pytest.raises(MalformedTagLine):
+    with pytest.raises(FormatError, match="^line 2: value text before the first tag$"):
         parse_sgml("<RECORD>\nvalue before any tag\n</RECORD>\n")
-    with pytest.raises(MalformedTagLine):
+    with pytest.raises(FormatError, match="^line 1: tag line outside a record$"):
         parse_sgml("<RCN>X-1\n")
-    with pytest.raises(MalformedTagLine):
+    with pytest.raises(FormatError, match="^line 2: '<toolong>x'$"):
         parse_sgml("<RECORD>\n<toolong>x\n</RECORD>\n")
 
 
@@ -79,7 +80,7 @@ def test_empty_record_form():
 
 
 def test_empty_record_form_inside_a_record_raises():
-    with pytest.raises(MalformedTagLine, match="^line 3: record opened inside a record$"):
+    with pytest.raises(FormatError, match="^line 3: record opened inside a record$"):
         parse_sgml("<RECORD>\n<RCN>X\n<RECORD></RECORD>\n</RECORD>\n")
 
 
@@ -194,7 +195,7 @@ def make(entries) -> LegacyRecord:
 
 
 def test_missing_rcn_raises():
-    with pytest.raises(MissingId):
+    with pytest.raises(FormatError, match="^legacy record without an RCN identifier$"):
         map_record(make([("DEG", "Institut")]), EXPORT_DATE)
 
 

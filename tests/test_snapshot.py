@@ -672,3 +672,38 @@ def test_a_line_that_proves_unusable_leaves_what_a_parse_leaves(tmp_path, monkey
         saves[use] = (outcome, written, files_in(tmp_path))
     assert saves["query"] == saves["current"] == saves["parse"]
     assert "person.273.rdf" in saves["parse"][1]
+
+
+def test_a_line_whose_file_is_gone_is_passed_over(tmp_path, monkeypatch, parses):
+    built_store().save(tmp_path)
+    (tmp_path / "orgunit.TUWIEN.rdf").unlink()
+    index = tmp_path / INDEX_FILE
+    index.write_text("".join(line for line in index.read_text("utf-8").splitlines(True)
+                             if not line.startswith("orgunit:TUWIEN\t")), "utf-8")
+    current, _ = load_alike(tmp_path)
+    assert sorted(current) == [RecordKey("person", "273")]
+    parses.clear()
+    store = Store.load(tmp_path)
+    assert parses == []  # the lines after the one passed over are taken
+    written = recorded_writes(monkeypatch)
+    store.save(tmp_path)
+    assert written == [SNAPSHOT_FILE, INDEX_FILE]
+    assert len(snapshot_lines(tmp_path)) == 3
+
+
+def test_a_line_naming_a_file_that_holds_more_is_refused_on_first_use(tmp_path):
+    # the line's digest and stamp are those of a file that holds a second
+    # record as well; only decoding its mistyped values reads the file
+    built_store().save(tmp_path)
+    path = tmp_path / "person.273.rdf"
+    rs = one_person("Niedermayer")
+    rs.add(Person(id="274", family_names="Other"))
+    path.write_text(serialize_document(rs), "utf-8")
+    header, relations, orgunit, line = snapshot_lines(tmp_path)
+    line = edited(line, _both(_set([1], snapshot.file_digest(path.read_bytes()).hex()),
+                              _set([2], stamp_of(path)), MISTYPED_PERSON))
+    (tmp_path / SNAPSHOT_FILE).write_bytes(b"".join([header, relations, orgunit, line]))
+    store = Store.load(tmp_path)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: holds other "
+                                          "records than person:273 alone$"):
+        store.current[RecordKey("person", "273")]

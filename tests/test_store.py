@@ -349,6 +349,17 @@ def test_equivalence_map_load(tmp_path):
 # ---------------------------------------------------------------------------
 # persistence
 
+def test_read_open_reads_on_past_a_size_the_file_has_outgrown(tmp_path):
+    data = bytes(range(256)) * 1000  # more than one 64 KiB read
+    path = tmp_path / "grown"
+    path.write_bytes(data)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        assert store_module._read_open(fd, 10) == data
+    finally:
+        os.close(fd)
+
+
 def built_store() -> Store:
     store = Store()
     rs = RecordSet()
