@@ -2,15 +2,17 @@
 
 Store.save writes the snapshot and Store.load reads it; the store module says
 when a file is taken from it.  The first line is the header, a JSON list of
-the format name, cerifrdf-snapshot/2, and the cerif namespace.  Each later
-line is a JSON list of one record file's name, the blake2b-128 digest of its
-bytes in hex, its stamp, its records and its document-level relations, in
-file-name order.  The stamp is [st_size, st_mtime_ns, st_ctime_ns, st_ino]
-of the file the digest was taken of, or null.  A record is [kind, id,
-{attribute: value}] over its present fields, each value encoded by its
-field's shape in model.RECORD_FIELDS, so this module names no record class
-and no record field.  Strings are JSON strings escaped to ASCII, so every
-string a record can hold reads back as it was.
+the format name, cerifrdf-snapshot/3, and the cerif namespace.  Each later
+line but the last is a JSON list of one record file's name, the blake2b-128
+digest of its bytes in hex, its stamp, its records and its document-level
+relations, in file-name order.  The stamp is [st_size, st_mtime_ns,
+st_ctime_ns, st_ino] of the file the digest was taken of, or null.  A record
+is [kind, id, {attribute: value}] over its present fields, each value encoded
+by its field's shape in model.RECORD_FIELDS, so this module names no record
+class and no record field.  Strings are JSON strings escaped to ASCII, so
+every string a record can hold reads back as it was.  The last line is the
+seal: the blake2b-128 digest, in hex, of every byte before it, as git's index
+ends in a checksum of its content.
 
 A line vouches for its digest without the file being read when the file's
 stamp is the line's and the file's ctime is strictly older than the
@@ -19,13 +21,13 @@ clock tick the snapshot was written in could change again in that tick
 without its stamp showing it, so such a file is hashed, as is every file
 whose stamp differs.
 
-Reading a line JSON-decodes it and checks its name, digest, kind and id and
-the types of its relations.  The values of a record stay as JSON decoded
-them until decode_record builds the record or the store flattens them into
-triples; either one checks each value's types with the as_* helpers here
-and raises one of UNREADABLE for a mistyped value.  The encoding is
-canonical, so encoding a decoded line gives back its bytes, and a save writes
-a line it holds undecoded as it was.
+A snapshot without a matching seal (torn, hand-edited, of an older format)
+is ignored whole.  Reading a sealed line JSON-decodes it and checks its name,
+digest, kind and id and its relations; a record's values stay as JSON
+decoded them until decode_record or the store's triple view checks their
+types with the as_* helpers here.  The seal has no key, so a forged line can
+be sealed again, and these checks keep it from code that assumes its types.
+The encoding is canonical, so encoding a decoded line gives back its bytes.
 
 It is a module of its own so that the store module does not grow: a process
 that cannot cache bytecode compiles each module it imports, and compiling
@@ -39,9 +41,10 @@ import json
 import os
 import struct
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
-from .errors import CerifError
+from .errors import CerifError, FormatError
 from .model import (
     Contact,
     ExpertSkill,
@@ -59,9 +62,10 @@ from .model import (
     present_fields,
 )
 
-FORMAT = "cerifrdf-snapshot/2"
+FORMAT = "cerifrdf-snapshot/3"
 
-# records hold no cycles, and a cycle raises RecursionError (see snapshot_lines)
+# no line holds a cycle: a save writes values decode_record accepts, or as
+# JSON decoded them
 _JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 # decodes the str of a line; json.loads would first sniff the bytes' encoding
 _DECODER = json.JSONDecoder()
@@ -69,7 +73,7 @@ _DECODER = json.JSONDecoder()
 _TOKENS = {member: member.value for enum in (ProjectStatus, TranslationType)
            for member in enum}
 TRANSLATIONS = {code.value: code for code in TranslationType}
-# what decoding a torn, foreign or mistyped line raises
+# what decoding a forged line or a mistyped value raises
 UNREADABLE = (ValueError, TypeError, KeyError, AttributeError, RecursionError,
               CerifError)
 
@@ -217,50 +221,67 @@ def decode_record(key: RecordKey, values: dict) -> Record:
 
 def snapshot_lines(cerif_ns: str, files):
     """The header for *cerif_ns*, then a line for each (name, mark, records,
-    relations) of *files*, taken in file-name order; records are
-    (key, record) pairs, or (key, values) for values a line held undecoded.
-    A file whose values JSON cannot hold, which only a record built through
-    the API can, gets no line, so load parses it."""
-    yield _JSON.encode([FORMAT, cerif_ns]) + "\n"
-    for name, mark, records, relations in files:
-        try:
-            yield _JSON.encode([
-                name, mark[:16].hex(), _mark_stamp(mark),
-                [[key.kind, key.id, held if type(held) is dict else record_values(held)]
-                 for key, held in records],
-                [_relation_row(rel) for rel in relations]]) + "\n"
-        except (TypeError, ValueError, AttributeError, RecursionError):
-            continue
+    relations) of *files*, taken in file-name order, then the seal; records
+    are (key, record) pairs, or (key, values) for values a line held
+    undecoded.  Store.save writes no value decode_record refuses, so every
+    line decodes."""
+    seal = hashlib.blake2b(digest_size=16)
+    for entry in chain([[FORMAT, cerif_ns]], ([
+            name, mark[:16].hex(), _mark_stamp(mark),
+            [[key.kind, key.id, held if type(held) is dict else record_values(held)]
+             for key, held in records],
+            [_relation_row(rel) for rel in relations]]
+            for name, mark, records, relations in files)):
+        line = _JSON.encode(entry) + "\n"
+        seal.update(line.encode("ascii"))
+        yield line
+    yield seal.hexdigest() + "\n"
 
 
-def _decode_line(line: bytes):
-    return _DECODER.decode(line.decode("utf-8"))
+def _read_seal(handle, size: int) -> bytes | None:
+    """The last line of the snapshot open as *handle*, *size* bytes long,
+    when it is the seal of every byte before it, else None.  The bytes are
+    hashed a chunk at a time, and *handle* is left at its start."""
+    seal, left = hashlib.blake2b(digest_size=16), size - 33  # 32 hex digits, "\n"
+    while left > 0 and (chunk := handle.read(min(left, 1 << 16))):
+        seal.update(chunk)
+        left -= len(chunk)
+    last = handle.read(34)
+    handle.seek(0)
+    return last if left == 0 and last == f"{seal.hexdigest()}\n".encode() else None
 
 
 class SnapshotReader:
     """The lines of a snapshot file, read one at a time in file-name order.
 
-    A missing snapshot, or one whose header names another format or
-    namespace, has no lines.  whole tells whether the header matched and
-    take gave what every line read holds, each line naming the stamp its
-    file has, with no line left over.
+    A missing snapshot, one whose last line is not its seal and one whose
+    header names another format or namespace have no lines.  A sealed line
+    that does not hold what snapshot_lines writes raises FormatError.  whole
+    tells whether the snapshot has lines and line gave every one of them.
     """
 
     def __init__(self, path: Path, cerif_ns: str) -> None:
         self._handle = None
-        self._held: list | None = None
+        self._held: tuple | None = None
         self._clean = False
         self._written_ns = 0
         try:
             self._handle = path.open("rb")
-            # files changed before this are the ones a matching stamp vouches for
-            self._written_ns = os.fstat(self._handle.fileno()).st_mtime_ns
-            header = _decode_line(self._handle.readline())
-        except (OSError, *UNREADABLE):
+            st = os.fstat(self._handle.fileno())
+            self._seal = _read_seal(self._handle, st.st_size)
+            header = self._handle.readline()
+        except OSError:
             return
-        if header == [FORMAT, cerif_ns]:
+        # files changed before this are the ones a matching stamp vouches for
+        self._written_ns = st.st_mtime_ns
+        ours = _JSON.encode([FORMAT, cerif_ns]) + "\n"
+        if self._seal is not None and header == ours.encode():
             self._clean = True
-            self._advance()
+            try:
+                self._advance()
+            except BaseException:  # no with statement holds the reader yet
+                self._handle.close()
+                raise
 
     def __enter__(self) -> "SnapshotReader":
         return self
@@ -274,61 +295,44 @@ class SnapshotReader:
         return self._clean and self._held is None
 
     def _advance(self) -> None:
-        """Hold the next line that reads as [name, digest, stamp, records,
-        relations], or None at the end."""
-        self._held = None
-        for line in self._handle:
-            try:
-                held = _row(_decode_line(line), 5)
-                as_text(held[0])
-            except UNREADABLE:
-                self._clean = False
-                continue
-            self._held = held
+        """Hold the next line as (name, digest, stamp, {key: values},
+        relations), its values undecoded, or None at the seal."""
+        line = self._handle.readline()
+        if line == self._seal:
+            self._held = None
             return
+        try:
+            entry = _DECODER.decode(line.decode("utf-8"))
+            name, digest, stamp, rows, relation_rows = _row(entry, 5)
+            records = {}
+            for kind, ident, values in as_rows(rows, 3):
+                if type(values) is not dict or kind not in RECORD_CLASSES:
+                    raise TypeError("mistyped snapshot value")
+                records[RecordKey(_word(kind), as_text(ident))] = values
+            digest = bytes.fromhex(as_text(digest))
+            if len(digest) != 16:
+                raise ValueError("not a file digest")
+            self._held = (as_text(name), digest, stamp, records,
+                          [_relation(row) for row in as_rows(relation_rows, 6)])
+        except UNREADABLE:
+            raise FormatError(f"{self._handle.name}: sealed, but holds a line no "
+                              "save writes") from None
 
-    def line(self, name: str) -> list | None:
+    def line(self, name: str) -> tuple | None:
         """The line for file *name*, when it is the next line, else None;
         lines for names before *name* are passed over."""
         while self._held is not None and self._held[0] < name:
             self._clean = False
             self._advance()
         if self._held is None or self._held[0] != name:
-            self._clean = False
             return None
         line = self._held
         self._advance()
         return line
 
-    def vouched(self, line: list | None, stamp: list) -> bytes | None:
+    def vouched(self, line: tuple | None, stamp: list) -> bytes | None:
         """The digest *line* names, when it names *stamp* too, the stamp of
         a file whose ctime is older than the snapshot's mtime; else None."""
         if line is None or stamp[2] >= self._written_ns or line[2] != stamp:
             return None
-        try:
-            digest = bytes.fromhex(as_text(line[1]))
-        except UNREADABLE:
-            return None
-        return digest if len(digest) == 16 else None
-
-    def take(self, line: list | None, digest: bytes, stamp: list):
-        """What *line* holds, when it names *digest*: ({key: values}, []) for
-        one record and no relation, its values undecoded, or ({}, relations)
-        for relations alone; else None.  A line taken that does not name
-        *stamp*, the file's, leaves the snapshot not whole, so the next save
-        writes the stamp."""
-        if line is not None and line[1] == digest.hex():
-            _, _, line_stamp, rows, relation_rows = line
-            if line_stamp != stamp:
-                self._clean = False
-            try:
-                if rows == []:
-                    return {}, [_relation(row) for row in as_rows(relation_rows, 6)]
-                kind, ident, values = _row(_row(rows, 1)[0], 3)
-                key = RecordKey(_word(kind), as_text(ident))
-                if relation_rows == [] and type(values) is dict and kind in RECORD_CLASSES:
-                    return {key: values}, []
-            except UNREADABLE:
-                pass
-        self._clean = False
-        return None
+        return line[1]

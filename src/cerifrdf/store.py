@@ -37,33 +37,34 @@ A save also writes _snapshot.jsonl (see the snapshot module), a derived
 copy of what each record file holds, keyed by the blake2b-128 digest of the
 file's bytes and by the file's stamp: its size, mtime, ctime and inode, as
 fstat gave them on the descriptor the save wrote through, or as the load
-before it found them.  Load opens and fstats every record file.  A file
-whose stamp its line names, and whose ctime is older than the snapshot's
-mtime, is not read: the line vouches for its digest.  Every other file is
-read and hashed, and counts as its line's only when the digests agree.  A
-line under the load's namespace that holds exactly its file's own key (or,
-for _relations.rdf, only relations) is taken instead of parsing the file;
-any other file is parsed as before, with the same refusals, and a missing,
-torn, foreign or mistyped snapshot or line only means more parsing.  A
-copied store has new inodes and ctimes, so its files are hashed, not
-trusted; os.utime cannot set a ctime, so an edit whose mtime was put back
-is hashed too.  So while the snapshot matches, load gives back each record
-exactly as it was saved, even one built through the API in a form the
-reader would normalize (Person(family_names="  a  b ") parses as "a b");
-parsed, it gives what the reader makes of the file.  The snapshot carries
-the same trust as the record files it describes, and a digest of each
-file's bytes is right whatever an interrupted save left behind.  A stamp is
-trusted as git trusts the stat data in its index, so a file that another
-process rewrites to the same size and mtime, in the clock tick in which a
-save or a load stamped it, can pass unseen.
+before it found them.  Its last line seals it: the blake2b-128 digest of
+every byte before it.  A snapshot without a matching seal is ignored whole,
+and load parses every file.  Load opens and fstats every record file.  A
+file whose stamp its line names, and whose ctime is older than the
+snapshot's mtime, is not read: the line vouches for its digest.  Every other
+file is read and hashed, and counts as its line's only when the digests
+agree.  Under the load's namespace, a file with a line that counts is taken
+from the line instead of being parsed; any other file is parsed as before,
+with the same refusals.  A copied store has new inodes and ctimes, so its
+files are hashed, not trusted; os.utime cannot set a ctime, so an edit whose
+mtime was put back is hashed too.  So while the snapshot matches, load gives
+back each record exactly as it was saved, even one built through the API in
+a form the reader would normalize (Person(family_names="  a  b ") parses as
+"a b"); parsed, it gives what the reader makes of the file.  The snapshot
+carries the same trust as the record files it describes, and a digest of
+each file's bytes is right whatever an interrupted save left behind.  A
+stamp is trusted as git trusts the stat data in its index, so a file that
+another process rewrites to the same size and mtime, in the clock tick in
+which a save or a load stamped it, can pass unseen.
 
 Load keeps a taken record's values as JSON decoded them, with their types
 unchecked, and decodes them into a Record only when the record is first
 used: looked up in current, compared by a merge, or written as a file.  A
 query flattens them as they are, and a save writes their line back as it
-was.  Values that then prove mistyped make the store parse the record's file
-after all, as a load without the snapshot would have, refusing it with
-FormatError if its bytes are no longer those load hashed.
+was.  Store.save writes no value that decoding refuses, so a sealed line
+whose values do not decode or flatten, or that holds another file's
+records, was forged: the use, or the load, raises FormatError naming the
+snapshot, and no file is parsed after load returns.
 """
 
 from __future__ import annotations
@@ -508,35 +509,18 @@ class Store:
         """(record, provenance) of *key*, decoding held values on first use."""
         record, prov = entry = self._current[key]
         if type(record) is dict:
-            entry = self._current[key] = (self._decode(key, record), prov)
+            try:
+                record = decode_record(key, record)
+            except UNREADABLE:
+                raise self._forged(key) from None
+            entry = self._current[key] = (record, prov)
         return entry
 
-    def _decode(self, key: RecordKey, values: dict) -> Record:
-        """The record *key* from the snapshot values load held for it, or,
-        when they prove mistyped, parsed from its file in the loaded
-        directory, with what a load that parsed the file would have made of
-        it; the file must still have the bytes load hashed."""
-        try:
-            return decode_record(key, values)
-        except UNREADABLE:
-            pass
-        self._snapshot_whole = False
-        root, cerif_ns = self._on_disk
-        name = _record_file(key)
-        with open(os.path.join(root, name), "rb") as handle:
-            data = handle.read()
-        if file_digest(data) != self._marks[key][:16]:
-            raise FormatError(f"{root / name}: changed since the store was loaded")
-        with located(name):
-            rs, warnings = parse_document(data, cerif_ns=cerif_ns)
-        if list(rs.records) != [key]:
-            raise FormatError(f"{root / name}: holds other records than {key} alone")
-        if warnings or rs.relations:
-            del self._marks[key]
-        if rs.relations:
-            self._view, self._relations_mark = None, None
-            self._relations.update(rs.relations)
-        return rs.records[key]
+    def _forged(self, key: RecordKey) -> FormatError:
+        """The refusal of the values load held for *key*, which were sealed
+        but do not decode, so no save wrote them."""
+        return FormatError(f"{self._on_disk[0] / SNAPSHOT_FILE}: the sealed values "
+                           f"of {key} do not decode")
 
     @property
     def relations(self) -> frozenset[Relation]:
@@ -558,7 +542,7 @@ class Store:
         warnings: list[str] = []
         fetched = prov.fetched.latest()
         # a held record that may win or tie is decoded before anything
-        # changes, as its values may prove mistyped and its file changed
+        # changes, as its values may prove forged
         for key in rs.records:
             held = self._current.get(key)
             if held is not None and (fetched, prov.source) >= (
@@ -593,13 +577,13 @@ class Store:
         if self._view is None:
             filed: list[Triple] = []
             for key, (record, _) in self._current.items():
-                if type(record) is dict:
-                    try:
-                        filed += _record_triples(key, record)
-                        continue
-                    except UNREADABLE:
-                        record = self._entry(key)[0]
-                filed += _record_triples(key, record_values(record))
+                if type(record) is not dict:
+                    filed += _record_triples(key, record_values(record))
+                    continue
+                try:
+                    filed += _record_triples(key, record)
+                except UNREADABLE:
+                    raise self._forged(key) from None
             filed += map(_relation_triple, self._relations)
             self._view = _TripleView(filed)
         return self._view
@@ -640,10 +624,12 @@ class Store:
         """Write one canonical file per current record, the snapshot and the
         provenance index; stale record files from earlier saves are removed
         and the index is written last.  Gathered records need not be
-        complete: only an identifier that cannot name a file, what
-        rdfxml.writer_faults finds in the records and relations the save
-        would write and a namespace rdfxml.check_namespace refuses raise,
-        before anything is written.
+        complete: only an identifier that cannot name a file, a value of a
+        type its field does not take (one snapshot.decode_record refuses,
+        such as an int among texts) and what rdfxml.writer_faults finds, in
+        the records and relations the save would write, are refused, with
+        InvariantViolation, and a namespace rdfxml.check_namespace refuses,
+        with FormatError, before anything is created.
 
         Saved back to the directory the store was loaded from or last saved
         to, under the same namespace, only the records without a digest
@@ -668,6 +654,13 @@ class Store:
         write_all = target != self._on_disk
         pending = RecordSet({key: self._entry(key)[0] for key in keys
                              if write_all or key not in self._marks})
+        for key, record in pending.records.items():
+            try:
+                decode_record(key, record_values(record))
+            except UNREADABLE:
+                raise InvariantViolation(
+                    f"{key.kind} {key.id!r}: a field holds a value of a type it does "
+                    "not take; store not saved") from None
         if self._relations and (write_all or self._relations_mark is None):
             pending.relations = sorted(self._relations, key=Relation.sort_key)
         for key, fault in writer_faults(pending):
@@ -735,12 +728,13 @@ class Store:
         very record.  Its line is JSON-decoded and its name, digest and key
         checked here, but the record's values stay undecoded until the
         record is first used (see current); a query flattens them as they
-        are.  Of a file that is parsed instead, a record read from anything but its own
-        kind.id.rdf file holding nothing else, and whatever the file gave
-        with reader warnings, get no digest, nor does _relations.rdf when a
-        relation came from any other file: the next save into this directory
-        writes them in their canonical file and form, as a save of every
-        file would.
+        are.  A sealed line that is not one a save writes raises
+        FormatError naming the snapshot.  Of a file that is parsed instead,
+        a record read from anything but its own kind.id.rdf file holding
+        nothing else, and whatever the file gave with reader warnings, get
+        no digest, nor does _relations.rdf when a relation came from any
+        other file: the next save into this directory writes them in their
+        canonical file and form, as a save of every file would.
         """
         root = Path(directory)
         store = cls()
@@ -752,26 +746,26 @@ class Store:
         relations_mark, relations_elsewhere = None, False
         names = sorted(name for name in os.listdir(root) if name.endswith(".rdf"))
         prefix = os.path.join(root, "")
-        hits = 0
+        fresh = 0
         with SnapshotReader(root / SNAPSHOT_FILE, cerif_ns) as snapshot:
             for name in names:
                 fd = os.open(prefix + name, os.O_RDONLY)
                 try:
                     stamp = file_stamp(os.fstat(fd))
                     line = snapshot.line(name)
-                    digest, data = snapshot.vouched(line, stamp), None
+                    digest = snapshot.vouched(line, stamp)
                     if digest is None:
                         data = _read_open(fd, stamp[0])
                         digest = file_digest(data)
-                    taken = snapshot.take(line, digest, stamp)
-                    if taken is not None and _own_file(name, *taken):
-                        hits += 1
+                    if line is not None and line[1] == digest:
+                        _, _, line_stamp, records, relations = line
+                        if not _own_file(name, records, relations):
+                            raise FormatError(f"{root / SNAPSHOT_FILE}: the sealed line "
+                                              f"of {name} holds another file's records")
+                        # a line naming another stamp is written again by a save
+                        fresh += line_stamp == stamp
                         own_file = True
-                        records, relations = taken
                     else:
-                        if data is None:  # vouched for, but its line unusable
-                            data = _read_open(fd, stamp[0])
-                            digest = file_digest(data)
                         with located(name):
                             rs, warnings = parse_document(data, cerif_ns=cerif_ns)
                         records, relations = rs.records, rs.relations
@@ -796,7 +790,7 @@ class Store:
                     store._current[key] = (record, prov)
                     if own_file:
                         store._marks[key] = file_mark(digest, stamp)
-            store._snapshot_whole = snapshot.whole and hits == len(names)
+            store._snapshot_whole = snapshot.whole and fresh == len(names)
         if provenance:
             subject = min(provenance)
             kind, _, ident = subject.partition(":")

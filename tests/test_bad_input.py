@@ -6,6 +6,8 @@ status that means "findings".  The second test runs in process and checks
 that a refusal of one input among many names that input, in every command.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from cerifrdf.cli import main
+from cerifrdf.store import SNAPSHOT_FILE, Store
 
 from conftest import cli_env
 
@@ -82,6 +85,21 @@ def _indexed_key_without_record_file(tmp_path):
     return ["query", "(?, ?, ?)", "--store", _store(tmp_path, index.encode())]
 
 
+def _snapshot_value_forged_and_resealed(tmp_path):
+    # text where a list of names goes, under a seal made to match; the line
+    # names the org unit's file by its digest, and the query flattens it
+    store = _store(tmp_path, INDEX_LINE.encode())
+    Store.load(store).save(store)
+    snapshot = Path(store) / SNAPSHOT_FILE
+    header, line, _ = snapshot.read_bytes().splitlines(keepends=True)
+    entry = json.loads(line)
+    entry[3][0][2] = {"names": "OU"}
+    body = header + json.dumps(entry).encode() + b"\n"
+    seal = hashlib.blake2b(body, digest_size=16).hexdigest().encode() + b"\n"
+    snapshot.write_bytes(body + seal)
+    return ["query", "(?, ?, ?)", "--store", store]
+
+
 def _date_with_superscript_digit(tmp_path):
     doc = tmp_path / "site.rdf"
     doc.write_text(DOCUMENT, "utf-8")
@@ -116,6 +134,7 @@ def _registry_not_utf8(tmp_path):
     _eq_map_not_utf8,
     _record_key_in_two_files,
     _indexed_key_without_record_file,
+    _snapshot_value_forged_and_resealed,
     _date_with_superscript_digit,
     _store_without_index,
     _registry_not_utf8,

@@ -1,8 +1,10 @@
 """Tests for the store's snapshot: load takes byte-unchanged record files from
-it, and anything else about it falls back to parsing, as if it were absent.
-A record taken from it stays undecoded until it is used, and using it, or
-finding it unusable then, gives what a load that parsed its file gives."""
+it, and a snapshot without a matching seal is ignored whole, as if it were
+absent.  A record taken from it stays undecoded until it is used, and using
+it gives what a load that parsed its file gives; a sealed value that does
+not decode was forged, and its use is refused without parsing any file."""
 
+import hashlib
 import json
 import os
 import random
@@ -11,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -67,20 +70,46 @@ def reads(monkeypatch) -> list[bytes]:
     return read
 
 
-def seeded_store(seed: int, flawed: bool) -> Store:
-    """A store of a seeded random set whose records the writer accepts."""
-    rng = random.Random(seed)
-    rs = randgen.flawed_record_set(rng, 12) if flawed else randgen.rand_record_set(rng, 12)
+def seeded_store(*seeds: int, flawed: bool) -> Store:
+    """A store of seeded random sets, one for each of *seeds*, whose records
+    the writer accepts."""
     store = Store()
-    store.merge(RecordSet({key: record for key, record in rs.records.items()
-                           if not any(not rel.target
-                                      for rel in getattr(record, "ou_relations", ()))},
-                          rs.relations), prov("src", D(2001, 6, 6)))
+    for seed in seeds:
+        rng = random.Random(seed)
+        rs = (randgen.flawed_record_set(rng, 12) if flawed
+              else randgen.rand_record_set(rng, 12))
+        store.merge(RecordSet({key: record for key, record in rs.records.items()
+                               if not any(not rel.target
+                                          for rel in getattr(record, "ou_relations", ()))},
+                              rs.relations), prov("src", D(2001, 6, 6)))
     return store
 
 
+def seal_of(lines: list[bytes]) -> bytes:
+    """The seal that a save writes after *lines*."""
+    return hashlib.blake2b(b"".join(lines), digest_size=16).hexdigest().encode() + b"\n"
+
+
 def snapshot_lines(directory) -> list[bytes]:
-    return (directory / SNAPSHOT_FILE).read_bytes().splitlines(keepends=True)
+    """The lines of the snapshot in *directory* before its seal, which must
+    seal them."""
+    *lines, seal = (directory / SNAPSHOT_FILE).read_bytes().splitlines(keepends=True)
+    assert seal == seal_of(lines)
+    return lines
+
+
+def names_the_snapshot(exc: Exception, directory) -> bool:
+    """Whether the message of *exc* starts with the path of the snapshot in
+    *directory*, as given or resolved."""
+    named = Path(str(exc).split(": ", 1)[0])
+    return named.resolve() == (Path(directory) / SNAPSHOT_FILE).resolve()
+
+
+def resealed(lines: list[bytes]) -> bytes:
+    """A snapshot of *lines* under their own seal.  A test that edits a line
+    to reach a rule about lines seals it again, as otherwise the snapshot
+    would be ignored whole."""
+    return b"".join(lines) + seal_of(lines)
 
 
 def test_a_load_after_a_save_parses_nothing(tmp_path, parses):
@@ -110,13 +139,18 @@ def test_a_missing_snapshot_is_rebuilt_by_the_next_save(tmp_path, parses):
     assert parses == []
 
 
-def test_a_torn_snapshot_loads_alike(tmp_path):
-    seeded_store(2101, flawed=True).save(tmp_path)
+def test_a_torn_snapshot_loads_alike(tmp_path, parses):
+    # a cut at each 4 KiB boundary, as a crash between page writes leaves
+    # it, and at each byte of the seal
+    seeded_store(*range(2101, 2109), flawed=True).save(tmp_path)
     whole = (tmp_path / SNAPSHOT_FILE).read_bytes()
-    for end in sorted({0, 1, 10, 40, *range(50, len(whole), len(whole) // 23 + 1),
-                       len(whole) - 1}):
+    assert len(whole) > 3 * 4096
+    for end in [*range(0, len(whole), 4096), *range(len(whole) - 33, len(whole))]:
         (tmp_path / SNAPSHOT_FILE).write_bytes(whole[:end])
+        parses.clear()
         load_alike(tmp_path)
+        # ignored whole: the load with it parses each file, as the one without
+        assert len(parses) == 2 * len(record_files(tmp_path))
 
 
 def test_a_snapshot_for_another_namespace_is_not_used(tmp_path, parses):
@@ -203,7 +237,7 @@ def unusable_variants(directory) -> list[list[bytes]]:
             b"\n", b"not json\n", b"[1, 2, 3, 4]\n", b'{"person.273.rdf": 1}\n',
             b"[" * 100_000 + b"\n", b"\xff\xfe\n")),
         [header, relations, person, orgunit],
-        [header.replace(b"/2", b"/3"), relations, orgunit, person],
+        [header.replace(b"/3", b"/4"), relations, orgunit, person],
         [b"garbage\n", relations, orgunit, person],
     ]
 
@@ -215,6 +249,40 @@ def test_unusable_lines_load_alike(tmp_path, parses):
         parses.clear()
         load_alike(tmp_path)
         assert parses  # the file whose line is unusable was parsed
+
+
+def test_unusable_lines_resealed_load_alike_or_are_refused(tmp_path, no_parse_after_load):
+    # under a matching seal, a line that no save writes was forged: load, or
+    # the first use of its record, refuses it, naming the snapshot
+    built_store().save(tmp_path)
+    outcomes = []
+    for lines in unusable_variants(tmp_path):
+        (tmp_path / SNAPSHOT_FILE).write_bytes(resealed(lines))
+        parsed = load_outcome(tmp_path, snapshot=False)
+        try:
+            store = Store.load(tmp_path)
+            triples = store.to_triples()
+            outcomes.append((dict(store.current), store.relations))
+            assert outcomes[-1] == parsed and triples == load_without_snapshot(
+                tmp_path).to_triples()
+        except FormatError as exc:
+            assert names_the_snapshot(exc, tmp_path), exc
+            outcomes.append(FormatError)
+    assert outcomes.count(FormatError) > len(outcomes) // 2
+
+
+@pytest.mark.parametrize("digest", ["", "00" * 8, "00" * 17])
+def test_a_sealed_digest_of_another_length_is_refused_by_load(tmp_path, digest):
+    # the stamp vouches for the line's digest, which a store would keep as
+    # the file's mark
+    built_store().save(tmp_path)
+    header, relations, orgunit, person = snapshot_lines(tmp_path)
+    (tmp_path / SNAPSHOT_FILE).write_bytes(
+        resealed([header, relations, orgunit, edited(person, _set([1], digest))]))
+    snapshot_after_every_file(tmp_path)
+    with pytest.raises(FormatError, match="sealed, but holds a line no save writes$") as exc:
+        Store.load(tmp_path)
+    assert names_the_snapshot(exc.value, tmp_path)
 
 
 def test_an_edited_record_file_of_the_same_size_and_mtime_is_parsed(tmp_path):
@@ -310,7 +378,7 @@ def test_a_line_whose_stamp_differs_from_its_files_in_one_field_is_not_taken_unr
     stamp[["size", "mtime", "ctime", "inode"].index(field)] += 1
     header, relations, orgunit, person = snapshot_lines(tmp_path)
     (tmp_path / SNAPSHOT_FILE).write_bytes(
-        b"".join([header, relations, orgunit, edited(person, _set([2], stamp))]))
+        resealed([header, relations, orgunit, edited(person, _set([2], stamp))]))
     snapshot_after_every_file(tmp_path)
     loaded = Store.load(tmp_path)
     assert parses == [path.read_bytes()]
@@ -377,18 +445,21 @@ def test_a_fresh_process_reads_no_file_changed_before_the_snapshot(tmp_path):
     assert not read & older
 
 
-def test_a_snapshot_of_the_first_format_is_ignored_once(tmp_path, monkeypatch, parses):
+@pytest.mark.parametrize("old", ["/1", "/2"])
+def test_a_snapshot_of_an_earlier_format_is_ignored_once(tmp_path, monkeypatch, parses,
+                                                          old):
+    # /1 lines have no stamp, and neither /1 nor /2 has a seal
     built_store().save(tmp_path)
     header, *lines = snapshot_lines(tmp_path)
-    (tmp_path / SNAPSHOT_FILE).write_bytes(b"".join(
-        [header.replace(b"/2", b"/1"), *(edited(line, lambda entry: entry.pop(2))
-                                         for line in lines)]))
+    if old == "/1":
+        lines = [edited(line, lambda entry: entry.pop(2)) for line in lines]
+    (tmp_path / SNAPSHOT_FILE).write_bytes(b"".join([header.replace(b"/3", old.encode()), *lines]))
     store = Store.load(tmp_path)
     assert len(parses) == 3
     written = recorded_writes(monkeypatch)
     store.save(tmp_path)
     assert written == [SNAPSHOT_FILE, INDEX_FILE]
-    assert snapshot_lines(tmp_path)[0].startswith(b'["cerifrdf-snapshot/2"')
+    assert snapshot_lines(tmp_path)[0].startswith(b'["cerifrdf-snapshot/3"')
     parses.clear()
     assert Store.load(tmp_path).current == store.current
     assert parses == []
@@ -502,26 +573,56 @@ def test_unusable_lines_answer_and_merge_alike(tmp_path):
 MISTYPED_PERSON = _set([3, 0, 2], {"family_names": 7})
 
 
-@pytest.mark.parametrize("use", ["current", "query", "merge"])
+@pytest.fixture
+def no_parse_after_load(monkeypatch):
+    """Make each later Store.load leave parse_document raising once it
+    returns, so that a use of the store that parses a file fails."""
+    load = Store.load.__func__
+
+    def parse_after_load(*args, **kwargs):
+        raise AssertionError("a record file was parsed after load")
+
+    def loading(cls, *args, **kwargs):
+        monkeypatch.setattr(store_module, "parse_document", parse_document)
+        store = load(cls, *args, **kwargs)
+        monkeypatch.setattr(store_module, "parse_document", parse_after_load)
+        return store
+
+    monkeypatch.setattr(Store, "load", classmethod(loading))
+
+
+def refused_as_forged(directory, key: str):
+    """pytest.raises for the refusal of the sealed values of *key* in the
+    snapshot of *directory*."""
+    return pytest.raises(FormatError, match=(
+        f"^{re.escape(str(directory.resolve() / SNAPSHOT_FILE))}: the sealed values of "
+        f"{key} do not decode$"))
+
+
+@pytest.mark.parametrize("use", ["current", "query", "merge", "save"])
 def test_a_file_rewritten_after_load_is_refused_when_its_line_proves_unusable(
-        tmp_path, use):
+        tmp_path, no_parse_after_load, use):
+    # the person's line holds a mistyped value under a matching seal, which
+    # no save writes: its first use refuses it, whatever its file holds now
     built_store().save(tmp_path)
     header, relations, orgunit, person = snapshot_lines(tmp_path)
     (tmp_path / SNAPSHOT_FILE).write_bytes(
-        b"".join([header, relations, orgunit, edited(person, MISTYPED_PERSON)]))
+        resealed([header, relations, orgunit, edited(person, MISTYPED_PERSON)]))
     store = Store.load(tmp_path)
     path = tmp_path / "person.273.rdf"
     path.write_bytes(path.read_bytes().replace(b"Niedermayer", b"Niedermeier"))
-    with pytest.raises(FormatError,
-                       match=f"^{re.escape(str(path))}: changed since the store was loaded$"):
+    with refused_as_forged(tmp_path, "person:273"):
         if use == "current":
             store.current[RecordKey("person", "273")]
         elif use == "query":
             store.query(TriplePattern("273"))
-        else:  # the org unit, newer too, sorts before the person
+        elif use == "merge":  # the org unit, newer too, sorts before the person
             both = one_person("Changed")
             both.records.update(same_day_orgunit().records)
             store.merge(both, prov("tuwien", D(2001, 6, 7)))
+        else:  # a save elsewhere writes every record
+            store.save(tmp_path / "away")
+    assert not (tmp_path / "away").exists()
     # a merge that raises changes nothing; a key whose line is usable decodes
     assert store.current[RecordKey("orgunit", "TUWIEN")][1].fetched == D(2001, 6, 6)
 
@@ -554,7 +655,7 @@ def test_reading_every_record_after_each_load_changes_no_saved_byte(tmp_path, se
 @pytest.mark.parametrize("seed", range(20))
 def test_a_decoded_line_encodes_to_the_bytes_it_was_read_from(tmp_path, seed):
     seeded_store(2200 + seed, flawed=seed % 2 == 1).save(tmp_path)
-    _, *lines = snapshot_lines(tmp_path)
+    _, *lines = snapshot_lines(tmp_path)  # the seal passed over
     assert lines
     for line in lines:
         name, digest, stamp, rows, relation_rows = json.loads(line)
@@ -562,10 +663,11 @@ def test_a_decoded_line_encodes_to_the_bytes_it_was_read_from(tmp_path, seed):
         decoded = [(key, snapshot.decode_record(key, values)) for key, values in held]
         relations = snapshot.CODECS["relations"][1](relation_rows)
         for records in (held, decoded):
-            _, again = snapshot.snapshot_lines(
+            header, again, seal = (text.encode() for text in snapshot.snapshot_lines(
                 CERIF_NS, [(name, snapshot.file_mark(bytes.fromhex(digest), stamp),
-                            records, relations)])
-            assert again.encode() == line
+                            records, relations)]))
+            assert again == line
+            assert header + again + seal == resealed([header, again])
 
 
 def test_a_query_on_a_saved_store_builds_no_record_and_parses_no_file(
@@ -639,11 +741,12 @@ def test_flattening_held_values_accepts_exactly_what_decoding_accepts(seed):
 
 
 @pytest.mark.parametrize("oddity", ["warning", "relation"])
-def test_a_line_that_proves_unusable_leaves_what_a_parse_leaves(tmp_path, monkeypatch,
-                                                                 oddity):
+def test_a_refused_use_of_a_forged_line_changes_nothing(tmp_path, no_parse_after_load,
+                                                         oddity):
     # the person's file parses with a warning (sex 'Q'), or holds a
-    # document relation too; its line names the file's digest but holds a
-    # mistyped value, which only a use of the record finds
+    # document relation too, which a parse would have kept; its line names
+    # the file's digest but holds a mistyped value under a matching seal,
+    # which only a use of the record finds
     store = built_store()
     person = Person(id="273", family_names="Niedermayer",
                     sex="Q" if oddity == "warning" else None)
@@ -657,21 +760,17 @@ def test_a_line_that_proves_unusable_leaves_what_a_parse_leaves(tmp_path, monkey
     header, relations, orgunit, line = snapshot_lines(tmp_path)
     line = edited(edited(line, _set([1], snapshot.file_digest(path.read_bytes()).hex())),
                   MISTYPED_PERSON)
-    (tmp_path / SNAPSHOT_FILE).write_bytes(b"".join([header, relations, orgunit, line]))
-    tampered = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
-    saves = {}
-    for use in ("query", "current", "parse"):
-        for name, data in tampered.items():
-            (tmp_path / name).write_bytes(data)
-        loaded = load_without_snapshot(tmp_path) if use == "parse" else Store.load(tmp_path)
-        triples = loaded.to_triples()  # before any record is read, for "query"
-        outcome = (dict(loaded.current), loaded.relations, triples)
-        with monkeypatch.context() as patch:
-            written = recorded_writes(patch)
-            loaded.save(tmp_path)
-        saves[use] = (outcome, written, files_in(tmp_path))
-    assert saves["query"] == saves["current"] == saves["parse"]
-    assert "person.273.rdf" in saves["parse"][1]
+    (tmp_path / SNAPSHOT_FILE).write_bytes(resealed([header, relations, orgunit, line]))
+    before = files_in(tmp_path)
+    loaded = Store.load(tmp_path)
+    for use in ("query", "current", "current again", "query again"):
+        with refused_as_forged(tmp_path, "person:273"):
+            if use.startswith("query"):
+                loaded.query(TriplePattern())
+            else:
+                dict(loaded.current)
+        assert loaded.relations == store.relations
+        assert files_in(tmp_path) == before
 
 
 def test_a_line_whose_file_is_gone_is_passed_over(tmp_path, monkeypatch, parses):
@@ -691,9 +790,10 @@ def test_a_line_whose_file_is_gone_is_passed_over(tmp_path, monkeypatch, parses)
     assert len(snapshot_lines(tmp_path)) == 3
 
 
-def test_a_line_naming_a_file_that_holds_more_is_refused_on_first_use(tmp_path):
+def test_a_line_naming_a_file_that_holds_more_is_refused_on_first_use(
+        tmp_path, no_parse_after_load):
     # the line's digest and stamp are those of a file that holds a second
-    # record as well; only decoding its mistyped values reads the file
+    # record as well, and its values are mistyped under a matching seal
     built_store().save(tmp_path)
     path = tmp_path / "person.273.rdf"
     rs = one_person("Niedermayer")
@@ -702,8 +802,7 @@ def test_a_line_naming_a_file_that_holds_more_is_refused_on_first_use(tmp_path):
     header, relations, orgunit, line = snapshot_lines(tmp_path)
     line = edited(line, _both(_set([1], snapshot.file_digest(path.read_bytes()).hex()),
                               _set([2], stamp_of(path)), MISTYPED_PERSON))
-    (tmp_path / SNAPSHOT_FILE).write_bytes(b"".join([header, relations, orgunit, line]))
+    (tmp_path / SNAPSHOT_FILE).write_bytes(resealed([header, relations, orgunit, line]))
     store = Store.load(tmp_path)
-    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: holds other "
-                                          "records than person:273 alone$"):
+    with refused_as_forged(tmp_path, "person:273"):
         store.current[RecordKey("person", "273")]

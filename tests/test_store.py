@@ -1,6 +1,7 @@
 """Tests for the gathered-record store: merging, triples, queries, disk form."""
 
 import copy
+import hashlib
 import itertools
 import json
 import os
@@ -383,10 +384,12 @@ def test_save_layout(tmp_path):
         "person.273.rdf",
         INDEX_FILE,
     ]
-    snapshot = (tmp_path / SNAPSHOT_FILE).read_text("utf-8").splitlines()
+    *snapshot, seal = (tmp_path / SNAPSHOT_FILE).read_text("utf-8").splitlines(True)
     assert [line.split(",", 1)[0] for line in snapshot] == [
-        '["cerifrdf-snapshot/2"', f'["{RELATIONS_FILE}"', '["orgunit.TUWIEN.rdf"',
+        '["cerifrdf-snapshot/3"', f'["{RELATIONS_FILE}"', '["orgunit.TUWIEN.rdf"',
         '["person.273.rdf"']
+    # the last line seals every byte before it
+    assert seal == hashlib.blake2b("".join(snapshot).encode(), digest_size=16).hexdigest() + "\n"
     # each line's stamp is its file's: size, mtime, ctime and inode
     for line in snapshot[1:]:
         name, _, stamp, *_ = json.loads(line)
@@ -633,13 +636,16 @@ def _unstamped(directory: Path, line: bytes) -> bytes:
 def files_in(directory) -> dict[str, bytes]:
     """Names and bytes of the files in *directory*.  The files of two
     directories have their own stamps, so each snapshot line's stamp is
-    left out when it is its file's."""
+    left out when it is its file's, and so is the seal, which covers the
+    stamps, when it seals the lines before it."""
     directory = Path(directory)
     files = {path.name: path.read_bytes() for path in directory.iterdir()}
     if SNAPSHOT_FILE in files:
+        *lines, seal = files[SNAPSHOT_FILE].splitlines(keepends=True) or [b""]
+        if seal == hashlib.blake2b(b"".join(lines), digest_size=16).hexdigest().encode() + b"\n":
+            seal = b"sealed\n"
         files[SNAPSHOT_FILE] = b"".join(
-            _unstamped(directory, line)
-            for line in files[SNAPSHOT_FILE].splitlines(keepends=True))
+            [*(_unstamped(directory, line) for line in lines), seal])
     return files
 
 
@@ -889,6 +895,35 @@ def test_save_refuses_an_id_holding_a_line_or_paragraph_separator(tmp_path, sepa
     with pytest.raises(InvariantViolation, match="store not saved$"):
         store.save(tmp_path / "st")
     assert not (tmp_path / "st").exists()
+
+
+# records built through the library with a value of a type their field does
+# not take: the serializer raised TypeError after writing the records before
+# them, bytes got a record file but no snapshot line, and a list of sexes got
+# a line that did not decode
+MISTYPED = {"int among texts": Person(id="zz1", prize_awards=(3,)),
+            "bytes for text": Person(id="zz1", uri=b"x"),
+            "list for a sex code": Person(id="zz1", sex=["M"])}
+
+
+@pytest.mark.parametrize("mistyped", MISTYPED)
+def test_save_refuses_a_value_of_a_type_its_field_does_not_take(tmp_path, mistyped):
+    store = built_store()
+    store.save(tmp_path / "home")
+    before = files_in(tmp_path / "home")
+    # a new record sorts before the mistyped one, so a late refusal would
+    # have written its file
+    rs = RecordSet({key: record for key, record in (
+        (RecordKey("person", "zz0"), Person(id="zz0", family_names="Zed")),
+        (RecordKey("person", "zz1"), MISTYPED[mistyped]))})
+    store.merge(rs, prov("tuwien", D(2001, 6, 7)))
+    for directory in ("home", "away"):
+        with pytest.raises(InvariantViolation, match=(
+                "^person 'zz1': a field holds a value of a type it does not take; "
+                "store not saved$")):
+            store.save(tmp_path / directory)
+    assert files_in(tmp_path / "home") == before
+    assert not (tmp_path / "away").exists()
 
 
 def test_save_refuses_a_namespace_that_does_not_read_back(tmp_path):
