@@ -64,8 +64,7 @@ from .model import (
 
 FORMAT = "cerifrdf-snapshot/3"
 
-# no line holds a cycle: a save writes values decode_record accepts, or as
-# JSON decoded them
+# no line holds a cycle, as it holds only values decode_record accepts
 _JSON = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 # decodes the str of a line; json.loads would first sniff the bytes' encoding
 _DECODER = json.JSONDecoder()
@@ -239,9 +238,8 @@ def snapshot_lines(cerif_ns: str, files):
 
 
 def _read_seal(handle, size: int) -> bytes | None:
-    """The last line of the snapshot open as *handle*, *size* bytes long,
-    when it is the seal of every byte before it, else None.  The bytes are
-    hashed a chunk at a time, and *handle* is left at its start."""
+    """The last line of the snapshot open as *handle*, *size* bytes long, when
+    it seals every byte before it, hashed a chunk at a time; else None."""
     seal, left = hashlib.blake2b(digest_size=16), size - 33  # 32 hex digits, "\n"
     while left > 0 and (chunk := handle.read(min(left, 1 << 16))):
         seal.update(chunk)
@@ -263,8 +261,7 @@ class SnapshotReader:
     def __init__(self, path: Path, cerif_ns: str) -> None:
         self._handle = None
         self._held: tuple | None = None
-        self._clean = False
-        self._written_ns = 0
+        self._clean = self._unread = False  # the first line is read inside the with
         try:
             self._handle = path.open("rb")
             st = os.fstat(self._handle.fileno())
@@ -275,13 +272,7 @@ class SnapshotReader:
         # files changed before this are the ones a matching stamp vouches for
         self._written_ns = st.st_mtime_ns
         ours = _JSON.encode([FORMAT, cerif_ns]) + "\n"
-        if self._seal is not None and header == ours.encode():
-            self._clean = True
-            try:
-                self._advance()
-            except BaseException:  # no with statement holds the reader yet
-                self._handle.close()
-                raise
+        self._clean = self._unread = self._seal is not None and header == ours.encode()
 
     def __enter__(self) -> "SnapshotReader":
         return self
@@ -292,7 +283,13 @@ class SnapshotReader:
 
     @property
     def whole(self) -> bool:
+        self._start()
         return self._clean and self._held is None
+
+    def _start(self) -> None:
+        if self._unread:
+            self._unread = False
+            self._advance()
 
     def _advance(self) -> None:
         """Hold the next line as (name, digest, stamp, {key: values},
@@ -321,6 +318,7 @@ class SnapshotReader:
     def line(self, name: str) -> tuple | None:
         """The line for file *name*, when it is the next line, else None;
         lines for names before *name* are passed over."""
+        self._start()
         while self._held is not None and self._held[0] < name:
             self._clean = False
             self._advance()

@@ -517,8 +517,7 @@ class Store:
         return entry
 
     def _forged(self, key: RecordKey) -> FormatError:
-        """The refusal of the values load held for *key*, which were sealed
-        but do not decode, so no save wrote them."""
+        """The refusal of the sealed values load held for *key*, as forged."""
         return FormatError(f"{self._on_disk[0] / SNAPSHOT_FILE}: the sealed values "
                            f"of {key} do not decode")
 
@@ -624,12 +623,12 @@ class Store:
         """Write one canonical file per current record, the snapshot and the
         provenance index; stale record files from earlier saves are removed
         and the index is written last.  Gathered records need not be
-        complete: only an identifier that cannot name a file, a value of a
-        type its field does not take (one snapshot.decode_record refuses,
-        such as an int among texts) and what rdfxml.writer_faults finds, in
-        the records and relations the save would write, are refused, with
-        InvariantViolation, and a namespace rdfxml.check_namespace refuses,
-        with FormatError, before anything is created.
+        complete: only an identifier that cannot name a file, a value the
+        snapshot does not decode (an int among texts, a mandatory flag that
+        is no bool) and what writer_faults finds, in the records and
+        relations the save would write (InvariantViolation), and a namespace
+        check_namespace refuses (FormatError) raise, before anything is
+        created.
 
         Saved back to the directory the store was loaded from or last saved
         to, under the same namespace, only the records without a digest
@@ -639,9 +638,8 @@ class Store:
         unchanged records keep the bytes they were loaded with, and a record
         whose snapshot values load still holds undecoded gets its line back
         as it was.  Any other directory or namespace gets every file, which
-        decodes every held record first.  The digests change only
-        once the index is written, so a save that raises part way loses
-        nothing for the next one.
+        decodes every held record first.  The digests change only once the
+        index is written, so a save that raises part way loses nothing.
         """
         keys = sorted(self._current)
         for key in keys:
@@ -654,15 +652,19 @@ class Store:
         write_all = target != self._on_disk
         pending = RecordSet({key: self._entry(key)[0] for key in keys
                              if write_all or key not in self._marks})
-        for key, record in pending.records.items():
-            try:
-                decode_record(key, record_values(record))
-            except UNREADABLE:
-                raise InvariantViolation(
-                    f"{key.kind} {key.id!r}: a field holds a value of a type it does "
-                    "not take; store not saved") from None
         if self._relations and (write_all or self._relations_mark is None):
             pending.relations = sorted(self._relations, key=Relation.sort_key)
+        values = {}  # the snapshot values of each record written
+        try:
+            for key, record in pending.records.items():
+                where = f"{key.kind} {key.id!r}: a field"
+                decode_record(key, values.setdefault(key, record_values(record)))
+            where = "document relations: a relation"
+            encode, decode = CODECS["relations"]  # as their snapshot line holds them
+            decode(encode(pending.relations))
+        except UNREADABLE:
+            raise InvariantViolation(f"{where} holds a value of a type it does not "
+                                     "take; store not saved") from None
         for key, fault in writer_faults(pending):
             where = "document relations" if key is None else f"{key.kind} {key.id!r}"
             raise InvariantViolation(f"{where}: {fault}; store not saved")
@@ -690,7 +692,7 @@ class Store:
         if (write_all or pending.records or pending.relations or swept
                 or not self._snapshot_whole or not snapshot.exists()):
             write_atomic(snapshot, snapshot_lines(cerif_ns, self._snapshot_files(
-                keys, marks, relations_mark)))
+                keys, marks, relations_mark, values)))
 
         write_atomic(root / INDEX_FILE, _index_lines(keys, self._current))
         self._on_disk = target
@@ -698,9 +700,9 @@ class Store:
         self._snapshot_whole = True
 
     def _snapshot_files(self, keys, marks: dict[RecordKey, bytes],
-                        relations_mark: bytes | None):
+                        relations_mark: bytes | None, values: dict[RecordKey, dict]):
         """(name, mark, records, relations) of each file a save leaves, in
-        name order."""
+        name order, a record the save wrote as its checked *values*."""
         files = [(_record_file(key), key) for key in keys]
         if self._relations:
             files.append((RELATIONS_FILE, None))
@@ -710,7 +712,7 @@ class Store:
                 yield name, relations_mark, (), sorted(self._relations,
                                                        key=Relation.sort_key)
             else:
-                yield name, marks[key], ((key, self._current[key][0]),), ()
+                yield name, marks[key], ((key, values.get(key, self._current[key][0])),), ()
 
     @classmethod
     def load(cls, directory: str | os.PathLike, *,
@@ -725,16 +727,15 @@ class Store:
         A file the snapshot holds, by name and by stamp or digest (see the
         module docstring), gives the records saved into it and keeps its
         digest and stamp: its bytes are what the serializer wrote for that
-        very record.  Its line is JSON-decoded and its name, digest and key
-        checked here, but the record's values stay undecoded until the
-        record is first used (see current); a query flattens them as they
-        are.  A sealed line that is not one a save writes raises
-        FormatError naming the snapshot.  Of a file that is parsed instead,
-        a record read from anything but its own kind.id.rdf file holding
-        nothing else, and whatever the file gave with reader warnings, get
-        no digest, nor does _relations.rdf when a relation came from any
-        other file: the next save into this directory writes them in their
-        canonical file and form, as a save of every file would.
+        very record.  Its line is checked here, but the record's values stay
+        undecoded until first use (see current).  A sealed line that is not
+        one a save writes raises FormatError naming the snapshot.  Of a
+        file that is parsed instead, a record read from anything but its own
+        kind.id.rdf file holding nothing else, and whatever the file gave
+        with reader warnings, get no digest, nor does _relations.rdf when a
+        relation came from any other file: the next save into this directory
+        writes them in their canonical file and form, as a save of every
+        file would.
         """
         root = Path(directory)
         store = cls()
@@ -747,7 +748,8 @@ class Store:
         names = sorted(name for name in os.listdir(root) if name.endswith(".rdf"))
         prefix = os.path.join(root, "")
         fresh = 0
-        with SnapshotReader(root / SNAPSHOT_FILE, cerif_ns) as snapshot:
+        snapshot_path = root.resolve() / SNAPSHOT_FILE
+        with SnapshotReader(snapshot_path, cerif_ns) as snapshot:
             for name in names:
                 fd = os.open(prefix + name, os.O_RDONLY)
                 try:
@@ -760,7 +762,7 @@ class Store:
                     if line is not None and line[1] == digest:
                         _, _, line_stamp, records, relations = line
                         if not _own_file(name, records, relations):
-                            raise FormatError(f"{root / SNAPSHOT_FILE}: the sealed line "
+                            raise FormatError(f"{snapshot_path}: the sealed line "
                                               f"of {name} holds another file's records")
                         # a line naming another stamp is written again by a save
                         fresh += line_stamp == stamp
@@ -798,5 +800,5 @@ class Store:
                               f"expected {_record_file(RecordKey(kind, ident))}")
         if not relations_elsewhere:
             store._relations_mark = relations_mark
-        store._on_disk = (root.resolve(), cerif_ns)
+        store._on_disk = (snapshot_path.parent, cerif_ns)
         return store

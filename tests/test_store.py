@@ -900,10 +900,15 @@ def test_save_refuses_an_id_holding_a_line_or_paragraph_separator(tmp_path, sepa
 # records built through the library with a value of a type their field does
 # not take: the serializer raised TypeError after writing the records before
 # them, bytes got a record file but no snapshot line, and a list of sexes got
-# a line that did not decode
+# a line that did not decode; a document-level relation with such a value got
+# a sealed line that no load took, so the store no longer loaded
+_NEW, _UNIT = RecordKey("person", "zz0"), RecordKey("orgunit", "TUWIEN")
 MISTYPED = {"int among texts": Person(id="zz1", prize_awards=(3,)),
             "bytes for text": Person(id="zz1", uri=b"x"),
-            "list for a sex code": Person(id="zz1", sex=["M"])}
+            "list for a sex code": Person(id="zz1", sex=["M"]),
+            "int for a mandatory flag": Relation(_NEW, _UNIT, "member", mandatory=1),
+            "None for a mandatory flag": Relation(_NEW, _UNIT, "member", mandatory=None),
+            "bytes for a role": Relation(_NEW, _UNIT, b"member")}
 
 
 @pytest.mark.parametrize("mistyped", MISTYPED)
@@ -913,17 +918,26 @@ def test_save_refuses_a_value_of_a_type_its_field_does_not_take(tmp_path, mistyp
     before = files_in(tmp_path / "home")
     # a new record sorts before the mistyped one, so a late refusal would
     # have written its file
-    rs = RecordSet({key: record for key, record in (
-        (RecordKey("person", "zz0"), Person(id="zz0", family_names="Zed")),
-        (RecordKey("person", "zz1"), MISTYPED[mistyped]))})
+    rs = RecordSet()
+    rs.add(Person(id="zz0", family_names="Zed"))
+    value = MISTYPED[mistyped]
+    if isinstance(value, Relation):
+        rs.add_relation(value)
+        where = "document relations: a relation"
+    else:
+        rs.add(value)
+        where = "person 'zz1': a field"
     store.merge(rs, prov("tuwien", D(2001, 6, 7)))
     for directory in ("home", "away"):
         with pytest.raises(InvariantViolation, match=(
-                "^person 'zz1': a field holds a value of a type it does not take; "
+                f"^{where} holds a value of a type it does not take; "
                 "store not saved$")):
             store.save(tmp_path / directory)
     assert files_in(tmp_path / "home") == before
     assert not (tmp_path / "away").exists()
+    home = Store.load(tmp_path / "home")
+    assert (home.current, home.relations) == (built_store().current,
+                                              built_store().relations)
 
 
 def test_save_refuses_a_namespace_that_does_not_read_back(tmp_path):
