@@ -27,7 +27,7 @@ from .model import (
     parse_partial_date,
 )
 from .rdfxml import RecordSet, check_writable
-from .store import read_rows, write_atomic
+from .store import read_rows, utf8_text, write_atomic
 from .validation import check_record
 
 
@@ -225,7 +225,8 @@ class IdRegistry:
                 date = dates[date_text] = parse_partial_date(date_text)
             return (orgs.setdefault(org, org), types[rtype], ident), date
 
-        registry.entries = read_rows(registry.path, 4, read_row)
+        lines = utf8_text(registry.path, registry.path.read_bytes()).splitlines()
+        registry.entries = read_rows(registry.path, lines, 4, read_row)
         return registry
 
     def register(self, org: str, rtype: str, ident: str, date: PartialDate) -> None:

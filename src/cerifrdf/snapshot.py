@@ -21,9 +21,12 @@ clock tick the snapshot was written in could change again in that tick
 without its stamp showing it, so such a file is hashed, as is every file
 whose stamp differs.
 
-A snapshot without a matching seal (torn, hand-edited, of an older format)
-is ignored whole.  Reading a sealed line JSON-decodes it and checks its name,
-digest, kind and id and its relations; a record's values stay as JSON
+read_snapshot checks the seal and the header, then gives the snapshot's
+mtime and its lines one at a time as it reads them, so a load never holds
+the whole snapshot.  A snapshot without a matching seal (torn, hand-edited,
+of an older format) or that is not a regular file gives nothing, as a
+missing one does.  Reading a sealed line JSON-decodes it and checks its
+name, digest, kind and id and its relations; a record's values stay as JSON
 decoded them until decode_record or the store's triple view checks their
 types with the as_* helpers here.  The seal has no key, so a forged line can
 be sealed again, and these checks keep it from code that assumes its types.
@@ -39,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import struct
 from functools import lru_cache
 from itertools import chain
@@ -249,88 +253,56 @@ def _read_seal(handle, size: int) -> bytes | None:
     return last if left == 0 and last == f"{seal.hexdigest()}\n".encode() else None
 
 
-class SnapshotReader:
-    """The lines of a snapshot file, read one at a time in file-name order.
+def open_regular(path) -> tuple[int, os.stat_result]:
+    """A descriptor open for reading on *path*, and its fstat result.  The
+    open does not wait for a writer, as opening a FIFO would, and anything
+    but a regular file raises FormatError naming *path*."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        os.close(fd)
+        raise FormatError(f"{path}: not a regular file")
+    return fd, st
 
-    A missing snapshot, one whose last line is not its seal and one whose
-    header names another format or namespace have no lines.  A sealed line
-    that does not hold what snapshot_lines writes raises FormatError.  whole
-    tells whether the snapshot has lines and line gave every one of them.
+
+def read_snapshot(path: Path, cerif_ns: str):
+    """The mtime_ns of the snapshot at *path*, then (name, digest, stamp,
+    {key: values}, relations) of each of its lines in file-name order, its
+    values undecoded, read as they are asked for.
+
+    A missing snapshot, one that is not a regular file, one whose last line
+    is not its seal and one whose header names another format or namespace
+    give nothing.  A sealed line that does not hold what snapshot_lines
+    writes raises FormatError.  Closing the generator closes the file.
     """
-
-    def __init__(self, path: Path, cerif_ns: str) -> None:
-        self._handle = None
-        self._held: tuple | None = None
-        self._clean = self._unread = False  # the first line is read inside the with
+    try:
+        fd, st = open_regular(path)
+    except (OSError, FormatError):
+        return
+    with open(fd, "rb") as handle:
         try:
-            self._handle = path.open("rb")
-            st = os.fstat(self._handle.fileno())
-            self._seal = _read_seal(self._handle, st.st_size)
-            header = self._handle.readline()
+            seal = _read_seal(handle, st.st_size)
+            header = handle.readline()
         except OSError:
             return
-        # files changed before this are the ones a matching stamp vouches for
-        self._written_ns = st.st_mtime_ns
-        ours = _JSON.encode([FORMAT, cerif_ns]) + "\n"
-        self._clean = self._unread = self._seal is not None and header == ours.encode()
-
-    def __enter__(self) -> "SnapshotReader":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._handle is not None:
-            self._handle.close()
-
-    @property
-    def whole(self) -> bool:
-        self._start()
-        return self._clean and self._held is None
-
-    def _start(self) -> None:
-        if self._unread:
-            self._unread = False
-            self._advance()
-
-    def _advance(self) -> None:
-        """Hold the next line as (name, digest, stamp, {key: values},
-        relations), its values undecoded, or None at the seal."""
-        line = self._handle.readline()
-        if line == self._seal:
-            self._held = None
+        if seal is None or header != (_JSON.encode([FORMAT, cerif_ns]) + "\n").encode():
             return
-        try:
-            entry = _DECODER.decode(line.decode("utf-8"))
-            name, digest, stamp, rows, relation_rows = _row(entry, 5)
-            records = {}
-            for kind, ident, values in as_rows(rows, 3):
-                if type(values) is not dict or kind not in RECORD_CLASSES:
-                    raise TypeError("mistyped snapshot value")
-                records[RecordKey(_word(kind), as_text(ident))] = values
-            digest = bytes.fromhex(as_text(digest))
-            if len(digest) != 16:
-                raise ValueError("not a file digest")
-            self._held = (as_text(name), digest, stamp, records,
-                          [_relation(row) for row in as_rows(relation_rows, 6)])
-        except UNREADABLE:
-            raise FormatError(f"{self._handle.name}: sealed, but holds a line no "
-                              "save writes") from None
-
-    def line(self, name: str) -> tuple | None:
-        """The line for file *name*, when it is the next line, else None;
-        lines for names before *name* are passed over."""
-        self._start()
-        while self._held is not None and self._held[0] < name:
-            self._clean = False
-            self._advance()
-        if self._held is None or self._held[0] != name:
-            return None
-        line = self._held
-        self._advance()
-        return line
-
-    def vouched(self, line: tuple | None, stamp: list) -> bytes | None:
-        """The digest *line* names, when it names *stamp* too, the stamp of
-        a file whose ctime is older than the snapshot's mtime; else None."""
-        if line is None or stamp[2] >= self._written_ns or line[2] != stamp:
-            return None
-        return line[1]
+        yield st.st_mtime_ns
+        while (line := handle.readline()) != seal:
+            try:
+                entry = _DECODER.decode(line.decode("utf-8"))
+                name, digest, stamp, rows, relation_rows = _row(entry, 5)
+                records = {}
+                for kind, ident, values in as_rows(rows, 3):
+                    if type(values) is not dict or kind not in RECORD_CLASSES:
+                        raise TypeError("mistyped snapshot value")
+                    records[RecordKey(_word(kind), as_text(ident))] = values
+                digest = bytes.fromhex(as_text(digest))
+                if len(digest) != 16:
+                    raise ValueError("not a file digest")
+                held = (as_text(name), digest, stamp, records,
+                        [_relation(row) for row in as_rows(relation_rows, 6)])
+            except UNREADABLE:
+                raise FormatError(f"{path}: sealed, but holds a line no save "
+                                  "writes") from None
+            yield held

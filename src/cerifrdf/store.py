@@ -39,23 +39,27 @@ file's bytes and by the file's stamp: its size, mtime, ctime and inode, as
 fstat gave them on the descriptor the save wrote through, or as the load
 before it found them.  Its last line seals it: the blake2b-128 digest of
 every byte before it.  A snapshot without a matching seal is ignored whole,
-and load parses every file.  Load opens and fstats every record file.  A
-file whose stamp its line names, and whose ctime is older than the
-snapshot's mtime, is not read: the line vouches for its digest.  Every other
-file is read and hashed, and counts as its line's only when the digests
-agree.  Under the load's namespace, a file with a line that counts is taken
-from the line instead of being parsed; any other file is parsed as before,
-with the same refusals.  A copied store has new inodes and ctimes, so its
-files are hashed, not trusted; os.utime cannot set a ctime, so an edit whose
-mtime was put back is hashed too.  So while the snapshot matches, load gives
-back each record exactly as it was saved, even one built through the API in
-a form the reader would normalize (Person(family_names="  a  b ") parses as
-"a b"); parsed, it gives what the reader makes of the file.  The snapshot
-carries the same trust as the record files it describes, and a digest of
-each file's bytes is right whatever an interrupted save left behind.  A
-stamp is trusted as git trusts the stat data in its index, so a file that
-another process rewrites to the same size and mtime, in the clock tick in
-which a save or a load stamped it, can pass unseen.
+and load parses every file.  Load walks the record files in name order
+beside the snapshot's lines, which it reads one at a time, passing over a
+line whose file is gone.  It opens every record file without blocking and
+fstats it, and refuses one that is not a regular file, as it does the
+index; a snapshot that is not one is ignored.  A file whose stamp its line
+names, and whose ctime is older than the snapshot's mtime, is not read:
+the line vouches for its digest.  Every other file is read and hashed, and
+counts as its line's only when the digests agree.  Under the load's
+namespace, a file with a line that counts is taken from the line instead of
+being parsed; any other file is parsed as before, with the same refusals.
+A copied store has new inodes and ctimes, so its files are hashed, not
+trusted; os.utime cannot set a ctime, so an edit whose mtime was put back
+is hashed too.  So while the snapshot matches, load gives back each record
+exactly as it was saved, even one built through the API in a form the
+reader would normalize (Person(family_names="  a  b ") parses as "a b");
+parsed, it gives what the reader makes of the file.  The snapshot carries
+the same trust as the record files it describes, and a digest of each
+file's bytes is right whatever an interrupted save left behind.  A stamp is
+trusted as git trusts the stat data in its index, so a file that another
+process rewrites to the same size and mtime, in the clock tick in which a
+save or a load stamped it, can pass unseen.
 
 Load keeps a taken record's values as JSON decoded them, with their types
 unchecked, and decodes them into a Record only when the record is first
@@ -74,6 +78,7 @@ import re
 import stat
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -93,9 +98,9 @@ from .model import (
 )
 from .rdfxml import (CERIF_NS, RecordSet, check_namespace, parse_document,
                      serialize_document, writer_faults)
-from .snapshot import (CODECS, TRANSLATIONS, UNREADABLE, SnapshotReader, as_optional,
-                       as_rows, as_text, decode_record, file_digest, file_mark,
-                       file_stamp, record_values, snapshot_lines)
+from .snapshot import (CODECS, TRANSLATIONS, UNREADABLE, as_optional, as_rows, as_text,
+                       decode_record, file_digest, file_mark, file_stamp, open_regular,
+                       read_snapshot, record_values, snapshot_lines)
 
 Triple = tuple[str, str, str]
 
@@ -104,21 +109,24 @@ RELATIONS_FILE = "_relations.rdf"
 SNAPSHOT_FILE = "_snapshot.jsonl"
 
 
-def read_utf8(path: Path) -> str:
-    """Text of a UTF-8 file; undecodable bytes raise FormatError."""
+def utf8_text(path: Path, data: bytes) -> str:
+    """*data*, the bytes of the file *path*, as text; bytes that are not
+    UTF-8 raise FormatError naming *path*."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8: {exc}") from None
 
 
-def read_rows(path: Path, width: int, read_row) -> dict:
+def read_rows(path: Path, lines: list[str], width: int, read_row) -> dict:
     """The dict of the (key, value) pairs read_row(*fields) gives for the
-    non-blank lines of a tab-separated UTF-8 file.  A line without exactly
-    *width* fields, or with the key of an earlier line, raises FormatError,
-    and either that or a CerifError from read_row names the file and line."""
+    non-blank *lines* of the tab-separated file *path*.  A line without
+    exactly *width* fields, or with the key of an earlier line, raises
+    FormatError, and either that or a CerifError from read_row names the
+    file and line.  The caller keeps only the lines, not the file's bytes
+    or text, so that they are freed before the rows are built."""
     rows: dict = {}
-    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -159,12 +167,13 @@ def _read_open(fd: int, size: int) -> bytes:
     return data
 
 
-def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+def write_atomic(path: Path, text: Iterable[str]) -> None:
     """Replace *path* with *text* through a temporary file in the same
     directory, so readers see the old content or the new, never a mix.
-    *text* may also be an iterable of strings, written one at a time, so a
-    long file is never built as one string.  The new file has the mode of
-    the one it replaces, or the umask's, as a file written in place has."""
+    *text* is an iterable of strings, written one at a time, so a long file
+    is never built as one string; a str counts as the iterable of its
+    characters.  The new file has the mode of the one it replaces, or the
+    umask's, as a file written in place has."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     while True:  # a name a killed process with this pid may have left
         try:
@@ -178,10 +187,8 @@ def write_atomic(path: Path, text: str | Iterable[str]) -> None:
         except FileNotFoundError:
             pass
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            if isinstance(text, str):
-                handle.write(text)
-            else:
-                handle.writelines(text)
+            for piece in text:
+                handle.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -274,7 +281,7 @@ class EquivalenceMap:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "EquivalenceMap":
-        return cls.from_text(read_utf8(Path(path)))
+        return cls.from_text(utf8_text(path, Path(path).read_bytes()))
 
 
 def _relation_triple(rel: Relation) -> Triple:
@@ -416,9 +423,9 @@ class _TripleView:
 
 
 def _read_index(path: Path) -> dict[str, Provenance]:
-    """Provenance by subject from the index at *path*.  Lines with the same
-    source, date and kind share one Provenance, and each date text is parsed
-    once."""
+    """Provenance by subject from the index at *path*, which must be a
+    regular file (snapshot.open_regular).  Lines with the same source, date
+    and kind share one Provenance, and each date text is parsed once."""
     provenances: dict[tuple[str, str, str], Provenance] = {}
     dates: dict[str, PartialDate] = {}
 
@@ -435,7 +442,10 @@ def _read_index(path: Path) -> dict[str, Provenance]:
             prov = provenances[fields] = Provenance(source, dates[date_text], kind)
         return subject, prov
 
-    return read_rows(path, 4, read_row)
+    fd, _ = open_regular(path)
+    with open(fd, "rb") as handle:
+        lines = utf8_text(path, handle.read()).splitlines()
+    return read_rows(path, lines, 4, read_row)
 
 
 def _index_lines(keys, current: dict[RecordKey, tuple]):
@@ -721,21 +731,23 @@ class Store:
 
         A directory without a provenance index gives an empty store.  A key
         that the index lists twice or two record files hold, a record the
-        index does not list and an indexed key that no record file holds
-        raise FormatError.
+        index does not list, an indexed key that no record file holds, and
+        an index or record file that is not a regular file (a FIFO, a
+        directory) raise FormatError; nothing waits on a FIFO.  A snapshot
+        that is not a regular file is ignored, as a missing one is.
 
         A file the snapshot holds, by name and by stamp or digest (see the
         module docstring), gives the records saved into it and keeps its
         digest and stamp: its bytes are what the serializer wrote for that
-        very record.  Its line is checked here, but the record's values stay
-        undecoded until first use (see current).  A sealed line that is not
-        one a save writes raises FormatError naming the snapshot.  Of a
-        file that is parsed instead, a record read from anything but its own
-        kind.id.rdf file holding nothing else, and whatever the file gave
-        with reader warnings, get no digest, nor does _relations.rdf when a
-        relation came from any other file: the next save into this directory
-        writes them in their canonical file and form, as a save of every
-        file would.
+        very record.  Its line is checked as it is read, but the record's
+        values stay undecoded until first use (see current).  A sealed line
+        that is not one a save writes raises FormatError naming the
+        snapshot.  Of a file that is parsed instead, a record read from
+        anything but its own kind.id.rdf file holding nothing else, and
+        whatever the file gave with reader warnings, get no digest, nor does
+        _relations.rdf when a relation came from any other file: the next
+        save into this directory writes them in their canonical file and
+        form, as a save of every file would.
         """
         root = Path(directory)
         store = cls()
@@ -749,14 +761,23 @@ class Store:
         prefix = os.path.join(root, "")
         fresh = 0
         snapshot_path = root.resolve() / SNAPSHOT_FILE
-        with SnapshotReader(snapshot_path, cerif_ns) as snapshot:
+        with closing(read_snapshot(snapshot_path, cerif_ns)) as lines:
+            # a line vouches for its file's digest when the file's ctime is older
+            written_ns = next(lines, None)
+            held = next(lines, None)
+            whole = written_ns is not None  # sealed, and no line passed over yet
             for name in names:
-                fd = os.open(prefix + name, os.O_RDONLY)
+                fd, st = open_regular(prefix + name)
                 try:
-                    stamp = file_stamp(os.fstat(fd))
-                    line = snapshot.line(name)
-                    digest = snapshot.vouched(line, stamp)
-                    if digest is None:
+                    stamp = file_stamp(st)
+                    while held is not None and held[0] < name:
+                        held, whole = next(lines, None), False
+                    line = None
+                    if held is not None and held[0] == name:
+                        line, held = held, next(lines, None)
+                    if line is not None and line[2] == stamp and stamp[2] < written_ns:
+                        digest = line[1]
+                    else:
                         data = _read_open(fd, stamp[0])
                         digest = file_digest(data)
                     if line is not None and line[1] == digest:
@@ -792,7 +813,7 @@ class Store:
                     store._current[key] = (record, prov)
                     if own_file:
                         store._marks[key] = file_mark(digest, stamp)
-            store._snapshot_whole = snapshot.whole and fresh == len(names)
+            store._snapshot_whole = whole and held is None and fresh == len(names)
         if provenance:
             subject = min(provenance)
             kind, _, ident = subject.partition(":")

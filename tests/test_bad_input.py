@@ -2,12 +2,14 @@
 
 Each case of the first test runs the command in a child process, so an
 exception escaping main() would show as a traceback with exit status 1, the
-status that means "findings".  The second test runs in process and checks
-that a refusal of one input among many names that input, in every command.
+status that means "findings", and a command that blocks fails at a timeout.
+The second test runs in process and checks that a refusal of one input among
+many names that input, in every command.
 """
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +87,15 @@ def _indexed_key_without_record_file(tmp_path):
     return ["query", "(?, ?, ?)", "--store", _store(tmp_path, index.encode())]
 
 
+def _record_file_a_fifo(tmp_path):
+    # opening it to read would wait for a writer
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    store = _store(tmp_path, INDEX_LINE.encode())
+    os.mkfifo(Path(store) / "person.3.rdf")
+    return ["query", "(?, ?, ?)", "--store", store]
+
+
 def _snapshot_value_forged_and_resealed(tmp_path):
     # text where a list of names goes, under a seal made to match; the line
     # names the org unit's file by its digest, and the query flattens it
@@ -134,6 +145,7 @@ def _registry_not_utf8(tmp_path):
     _eq_map_not_utf8,
     _record_key_in_two_files,
     _indexed_key_without_record_file,
+    _record_file_a_fifo,
     _snapshot_value_forged_and_resealed,
     _date_with_superscript_digit,
     _store_without_index,
@@ -141,7 +153,7 @@ def _registry_not_utf8(tmp_path):
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, make_args):
     proc = subprocess.run([sys.executable, "-m", "cerifrdf.cli", *make_args(tmp_path)],
-                          capture_output=True, text=True, env=cli_env())
+                          capture_output=True, text=True, env=cli_env(), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert any(line.startswith("error: ") for line in proc.stderr.splitlines())

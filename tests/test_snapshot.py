@@ -773,14 +773,19 @@ def test_a_refused_use_of_a_forged_line_changes_nothing(tmp_path, no_parse_after
         assert files_in(tmp_path) == before
 
 
-def test_a_line_whose_file_is_gone_is_passed_over(tmp_path, monkeypatch, parses):
-    built_store().save(tmp_path)
-    (tmp_path / "orgunit.TUWIEN.rdf").unlink()
+# the first, the middle and the last of the store's files, in name order
+@pytest.mark.parametrize("gone", ["_relations.rdf", "orgunit.TUWIEN.rdf", "person.273.rdf"])
+def test_a_line_whose_file_is_gone_is_passed_over(tmp_path, monkeypatch, parses, gone):
+    saved = built_store()
+    saved.save(tmp_path)
+    (tmp_path / gone).unlink()
+    kept = [key for key in sorted(saved.current) if f"{key.kind}.{key.id}.rdf" != gone]
     index = tmp_path / INDEX_FILE
     index.write_text("".join(line for line in index.read_text("utf-8").splitlines(True)
-                             if not line.startswith("orgunit:TUWIEN\t")), "utf-8")
-    current, _ = load_alike(tmp_path)
-    assert sorted(current) == [RecordKey("person", "273")]
+                             if line.split("\t")[0] in map(str, kept)), "utf-8")
+    current, relations = load_alike(tmp_path)
+    assert sorted(current) == kept
+    assert relations == (frozenset() if gone == "_relations.rdf" else saved.relations)
     parses.clear()
     store = Store.load(tmp_path)
     assert parses == []  # the lines after the one passed over are taken

@@ -7,6 +7,8 @@ import json
 import os
 import random
 import stat
+import subprocess
+import sys
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -41,6 +43,7 @@ from cerifrdf.store import (
 )
 
 import randgen
+from conftest import cli_env
 from oracles import newest_version_oracle, reference_merge
 
 D = PartialDate
@@ -489,6 +492,42 @@ def test_load_rejects_an_indexed_key_without_a_record_file(tmp_path):
         Store.load(tmp_path)
     assert str(err.value) == (f"{tmp_path / INDEX_FILE}: no record file holds "
                               "person:273; expected person.273.rdf")
+
+
+@pytest.mark.parametrize("entry, kind, command", [
+    ("person.3.rdf", "fifo", "query"),
+    ("person.2.rdf", "directory", "query"),
+    (INDEX_FILE, "fifo", "gather"),
+    (SNAPSHOT_FILE, "fifo", "query"),
+])
+def test_load_waits_on_no_store_entry_that_is_not_a_regular_file(tmp_path, entry, kind,
+                                                                 command):
+    # in a child with a timeout, so that a load that blocks fails the test
+    if kind == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    store = tmp_path / "st"
+    built_store().save(store)
+    doc = tmp_path / "site.rdf"
+    doc.write_text(serialize_document(one_person("Niedermayer")), "utf-8")
+    args = {"query": ["query", "(?, ?, ?)", "--store", str(store)],
+            "gather": ["gather", str(doc), "--store", str(store), "--date", "06.06.2001"]}
+
+    def run():
+        return subprocess.run([sys.executable, "-m", "cerifrdf.cli", *args[command]],
+                              capture_output=True, text=True, env=cli_env(), timeout=60)
+
+    (store / entry).unlink(missing_ok=True)
+    if kind == "fifo":
+        os.mkfifo(store / entry)
+    else:
+        (store / entry).mkdir()
+    proc = run()
+    if entry == SNAPSHOT_FILE:  # ignored, as a missing snapshot is
+        (store / entry).unlink()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, run().stdout, "")
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {store / entry}: not a regular file\n"
 
 
 def test_load_skips_blank_index_lines(tmp_path):
