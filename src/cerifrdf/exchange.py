@@ -11,6 +11,7 @@ counting segments from the end of the identifier.
 from __future__ import annotations
 
 import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -195,6 +196,10 @@ def plan_session(rs: RecordSet, organization: str, date: PartialDate,
     return out
 
 
+def _open_nonblocking(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 class IdRegistry:
     """Append-only memory of every (org, type, id) ever sent, with the date
     it was first seen.  The backing file is one tab-separated line per entry,
@@ -225,7 +230,12 @@ class IdRegistry:
                 date = dates[date_text] = parse_partial_date(date_text)
             return (orgs.setdefault(org, org), types[rtype], ident), date
 
-        lines = utf8_text(registry.path, registry.path.read_bytes()).splitlines()
+        # opened without waiting for a writer, as opening a FIFO would; a
+        # directory raises IsADirectoryError naming the path, as a read does
+        with open(registry.path, "rb", opener=_open_nonblocking) as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                raise FormatError(f"{registry.path}: not a regular file")
+            lines = utf8_text(registry.path, handle.read()).splitlines()
         registry.entries = read_rows(registry.path, lines, 4, read_row)
         return registry
 

@@ -83,6 +83,21 @@ def status_token(status: ProjectStatus | str) -> str:
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
+def check_date(year: int, month: int | None, day: int | None) -> None:
+    """Raise FormatError unless these fields make a PartialDate."""
+    if day is not None and month is None:
+        raise FormatError("a day without a month is not representable")
+    if not 1000 <= year <= 9999:
+        raise FormatError(f"year {year} outside 1000-9999")
+    if month is not None and not 1 <= month <= 12:
+        raise FormatError(f"month {month} outside 1-12")
+    if day is not None and not 1 <= day <= 28:  # every month has 28
+        leap = year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+        last = _MONTH_DAYS[month - 1] + (month == 2 and leap)
+        if not 1 <= day <= last:
+            raise FormatError(f"day {day} outside 1-{last}")
+
+
 @dataclass(frozen=True, slots=True)
 class PartialDate:
     """A calendar date whose day, or day and month, may be unknown.
@@ -96,17 +111,7 @@ class PartialDate:
     day: int | None = None
 
     def __post_init__(self) -> None:
-        if self.day is not None and self.month is None:
-            raise FormatError("a day without a month is not representable")
-        if not 1000 <= self.year <= 9999:
-            raise FormatError(f"year {self.year} outside 1000-9999")
-        if self.month is not None and not 1 <= self.month <= 12:
-            raise FormatError(f"month {self.month} outside 1-12")
-        if self.day is not None and not 1 <= self.day <= 28:  # every month has 28
-            leap = self.year % 4 == 0 and (self.year % 100 != 0 or self.year % 400 == 0)
-            last = _MONTH_DAYS[self.month - 1] + (self.month == 2 and leap)
-            if not 1 <= self.day <= last:
-                raise FormatError(f"day {self.day} outside 1-{last}")
+        check_date(self.year, self.month, self.day)
 
     @property
     def is_full(self) -> bool:
@@ -167,11 +172,21 @@ def parse_iso_date(text: str) -> PartialDate:
 
 def format_partial_date(d: PartialDate) -> str:
     """Emit exactly the fields present, day-first, zero-padded."""
-    if d.day is not None:
-        return f"{d.day:02d}.{d.month:02d}.{d.year:04d}"
-    if d.month is not None:
-        return f"{d.month:02d}.{d.year:04d}"
-    return f"{d.year:04d}"
+    return date_text(d.year, d.month, d.day)
+
+
+# the two-digit text of each day and month number
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(32))
+
+
+def date_text(year: int, month: int | None, day: int | None) -> str:
+    """The text of the date with these fields, which check_date accepts;
+    a table lookup pads a day or month faster than a format spec does."""
+    if day is not None:
+        return f"{_TWO_DIGITS[day]}.{_TWO_DIGITS[month]}.{year}"
+    if month is not None:
+        return f"{_TWO_DIGITS[month]}.{year}"
+    return str(year)
 
 
 #: Text form of a present value of each scalar shape: its element text on

@@ -27,8 +27,8 @@ the whole snapshot.  A snapshot without a matching seal (torn, hand-edited,
 of an older format) or that is not a regular file gives nothing, as a
 missing one does.  Reading a sealed line JSON-decodes it and checks its
 name, digest, kind and id and its relations; a record's values stay as JSON
-decoded them until decode_record or the store's triple view checks their
-types with the as_* helpers here.  The seal has no key, so a forged line can
+decoded them until decode_record, with the as_* helpers here, or the store's
+triple view checks their types.  The seal has no key, so a forged line can
 be sealed again, and these checks keep it from code that assumes its types.
 The encoding is canonical, so encoding a decoded line gives back its bytes.
 

@@ -16,11 +16,14 @@ pattern from the smallest candidate set among its bound positions.
 
 Store.merge and Store.load are the only ways into a store: its current map
 and its relation set are read-only to callers.  So the view is a plain
-cache: a merge drops it, the first query after a load or a merge flattens
-the current records once, and each position's index is built the first time
-a pattern binds it.  The view flattens the snapshot values a load holds
+cache: a merge drops it, and the first query after a load or a merge
+flattens the current records in one pass that also files the subject index,
+each record's triples under its subject and each relation under its source.
+The predicate and object indexes are built the first time a pattern binds
+their position.  The view flattens the snapshot values a load holds
 undecoded, and a record merged in through its encoding, so a query after a
-load builds no record.
+load builds no record.  A query takes its candidates in index order, which
+is mostly sorted already, so sorting the answer is cheap.
 
 A gatherer merges the same sources again and again, so most records are
 unchanged between saves.  A store remembers the directory and namespace its
@@ -76,7 +79,6 @@ from __future__ import annotations
 import os
 import re
 import stat
-from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from contextlib import closing
 from dataclasses import dataclass
@@ -91,14 +93,16 @@ from .model import (
     RecordKey,
     Relation,
     RECORD_FIELDS,
-    SCALAR_TEXT,
+    STATUS_BY_TOKEN,
+    check_date,
+    date_text,
     file_safe_id,
     format_partial_date,
     parse_partial_date,
 )
 from .rdfxml import (CERIF_NS, RecordSet, check_namespace, parse_document,
                      serialize_document, writer_faults)
-from .snapshot import (CODECS, TRANSLATIONS, UNREADABLE, as_optional, as_rows, as_text,
+from .snapshot import (CODECS, TRANSLATIONS, UNREADABLE, as_rows,
                        decode_record, file_digest, file_mark, file_stamp, open_regular,
                        read_snapshot, record_values, snapshot_lines)
 
@@ -285,65 +289,142 @@ class EquivalenceMap:
 
 
 def _relation_triple(rel: Relation) -> Triple:
-    return (":".join(rel.source), rel.role, ":".join(rel.target))
+    # str.join copies a RecordKey into a list first, as it is no plain tuple
+    source, target = rel.source, rel.target
+    return (f"{source[0]}:{source[1]}", rel.role, f"{target[0]}:{target[1]}")
 
 
-def _relation_row_triple(row: list) -> Triple:
-    """The triple of a relation in its snapshot encoding, checked as decoding
-    it is; building the Relation first made a query's flattening 1 ms (12%)
-    slower on a 1,000-record store."""
-    source_kind, source_id, target_kind, target_id, role, mandatory = row
-    if type(mandatory) is not bool:
-        raise TypeError("mistyped snapshot value")
-    return (f"{as_text(source_kind)}:{as_text(source_id)}", as_text(role),
-            f"{as_text(target_kind)}:{as_text(target_id)}")
-
+_MISTYPED = "mistyped snapshot value"
 
 # the bracket text of a translation code; a code no TranslationType has
 # raises, as decoding it does
 _CODE_TEXT = {None: "?", **{code: code for code in TRANSLATIONS}}
 
-# shape -> triple maker, which takes the record's subject, the field's
-# predicate and a present value in its snapshot encoding, and raises one of
-# snapshot.UNREADABLE for a mistyped one, as decoding it does.  Contacts,
-# org-unit relations and nested relations name their own predicates, and a
-# nested relation its own subject.
+# Each emitter takes the list *out*, the record's subject, the field's
+# predicate and a present value in its snapshot encoding, appends the
+# value's triples to *out*, and raises one of snapshot.UNREADABLE for a
+# value decoding refuses.  It checks each value's type inline, where the
+# field's decoder calls a helper per value and builds the objects it
+# holds; snapshot.as_rows checks the shape of a field's rows.
+
+
+def _emit_status(out: list, s: str, p: str, value) -> None:
+    if type(value) is list and len(value) == 1:  # a status outside the tokens
+        value = value[0]
+        if type(value) is not str:
+            raise TypeError(_MISTYPED)
+    elif type(value) is not str or value not in STATUS_BY_TOKEN:
+        raise TypeError(_MISTYPED)
+    out.append((s, p, value))
+
+
+def _emit_date(out: list, s: str, p: str, value) -> None:
+    if type(value) is not list:
+        raise TypeError(_MISTYPED)
+    year, month, day = value
+    if (type(year) is not int or (month is not None and type(month) is not int)
+            or (day is not None and type(day) is not int)):
+        raise TypeError(_MISTYPED)
+    check_date(year, month, day)
+    out.append((s, p, date_text(year, month, day)))
+
+
+def _emit_text(out: list, s: str, p: str, value) -> None:
+    if type(value) is not str:
+        raise TypeError(_MISTYPED)
+    out.append((s, p, value))
+
+
+def _emit_list(out: list, s: str, p: str, items) -> None:
+    for item in as_rows(items):
+        if type(item) is not str:
+            raise TypeError(_MISTYPED)
+        out.append((s, p, item))
+
+
+def _emit_translated(out: list, s: str, p: str, items) -> None:
+    for language, code, text in as_rows(items, 3):
+        if type(language) is not str or type(text) is not str:
+            raise TypeError(_MISTYPED)
+        out.append((s, p, f"[{language}/{_CODE_TEXT[code]}] {text}"))
+
+
+def _emit_skills(out: list, s: str, p: str, items) -> None:
+    for skill, role in as_rows(items, 2):
+        if type(skill) is not str or (role is not None and type(role) is not str):
+            raise TypeError(_MISTYPED)
+        out.append((s, p, skill if role is None else f"[{role}] {skill}"))
+
+
+def _emit_contacts(out: list, s: str, p: str, items) -> None:
+    """Contacts name their own predicates."""
+    for row in as_rows(items, 3):
+        for channel, value in zip(("telephone", "email", "contact_uri"), row):
+            if value is not None:
+                if type(value) is not str:
+                    raise TypeError(_MISTYPED)
+                out.append((s, channel, value))
+
+
+def _emit_ou_relations(out: list, s: str, p: str, items) -> None:
+    """Org-unit relations name their own predicates."""
+    for target, role in as_rows(items, 2):
+        if type(target) is not str or type(role) is not str:
+            raise TypeError(_MISTYPED)
+        out.append((s, role, f"orgunit:{target}"))
+
+
+def _emit_relations(out: list, s: str, p: str, items) -> None:
+    """Nested relations name their own predicates and subjects."""
+    for source_kind, source_id, target_kind, target_id, role, mandatory in as_rows(items, 6):
+        if (type(source_kind) is not str or type(source_id) is not str
+                or type(target_kind) is not str or type(target_id) is not str
+                or type(role) is not str or type(mandatory) is not bool):
+            raise TypeError(_MISTYPED)
+        out.append((f"{source_kind}:{source_id}", role, f"{target_kind}:{target_id}"))
+
+
+# shape -> emitter
 _TRIPLES = {
-    **{shape: lambda s, p, value, text=text, decode=CODECS[shape][1]:
-       [(s, p, text(decode(value)))] for shape, text in SCALAR_TEXT.items()},
-    "list": lambda s, p, items: [(s, p, as_text(item)) for item in as_rows(items)],
-    "translated": lambda s, p, items: [
-        (s, p, f"[{as_text(language)}/{_CODE_TEXT[code]}] {as_text(text)}")
-        for language, code, text in as_rows(items, 3)],
-    "skills": lambda s, p, items: [
-        (s, p, as_text(skill) if role is None else f"[{as_text(role)}] {as_text(skill)}")
-        for skill, role in as_rows(items, 2)],
-    "contacts": lambda s, _, items: [
-        (s, channel, value) for row in as_rows(items, 3)
-        for channel, value in zip(("telephone", "email", "contact_uri"),
-                                  map(as_optional, row))
-        if value is not None],
-    "ou_relations": lambda s, _, items: [
-        (s, as_text(role), f"orgunit:{as_text(target)}") for target, role in as_rows(items, 2)],
-    "relations": lambda s, _, items: list(map(_relation_row_triple, as_rows(items, 6))),
+    "status": _emit_status,
+    "date": _emit_date,
+    "text": _emit_text,
+    "sex": _emit_text,
+    "list": _emit_list,
+    "translated": _emit_translated,
+    "skills": _emit_skills,
+    "contacts": _emit_contacts,
+    "ou_relations": _emit_ou_relations,
+    "relations": _emit_relations,
 }
 
-# record kind -> attribute -> (triple maker, predicate, default) of its field
-_FIELDS = {cls.kind: {spec.attr: (_TRIPLES[spec.shape], spec.predicate, spec.default)
+# record kind -> attribute -> (emitter, predicate, default, whether the
+# field holds nested relations) of its field
+_FIELDS = {cls.kind: {spec.attr: (_TRIPLES[spec.shape], spec.predicate, spec.default,
+                                  spec.shape == "relations")
                       for spec in table}
            for cls, table in RECORD_FIELDS.items()}
+
+
+def _emit_record(own: list, nested: list, subject: str, kind: str, values: dict) -> None:
+    """Append the triples of the record *subject* of *kind*, whose present
+    fields have the snapshot encoding *values*, to *own*, and those of its
+    nested relations, which name their own subjects, to *nested*; a value
+    decoding would refuse raises as it does."""
+    fields = _FIELDS[kind]
+    for attr, value in values.items():
+        emit, predicate, default, relations = fields[attr]
+        if value == default:  # decoded, it would be no present field
+            emit([], subject, predicate, value)
+        else:
+            emit(nested if relations else own, subject, predicate, value)
 
 
 def _record_triples(key: RecordKey, values: dict) -> list[Triple]:
     """The triples of record *key*, whose present fields have the snapshot
     encoding *values*; a value decoding would refuse raises as it does."""
-    subject, fields = ":".join(key), _FIELDS[key.kind]
-    triples = []
-    for attr, value in values.items():
-        make, predicate, default = fields[attr]
-        made = make(subject, predicate, value)
-        if value != default:  # decoded, it would be no present field
-            triples += made
+    triples: list[Triple] = []
+    _emit_record(triples, triples, f"{key[0]}:{key[1]}", key[0], values)
     return triples
 
 
@@ -368,58 +449,107 @@ def _endpoint_match(value: str, terms: frozenset[str]) -> bool:
     return value in terms or value.split(":", 1)[-1] in terms
 
 
+def _held(grouped: dict, key) -> list | tuple:
+    """What *grouped*, an index or a bare map of _TripleView, holds under
+    *key*, as a sequence in filing order."""
+    held = grouped.get(key)
+    if held is None:
+        return ()
+    return held if type(held) is list else (held,)
+
+
 class _TripleView:
     """The store's current triples, indexed by subject, predicate and object.
 
-    Each position's index maps a value to the triples holding it there; the
-    subject and object positions also map the part of a value after its
-    first ':' back to the values it came from.  An index is built the first
-    time a pattern binds its position, so a one-shot query pays only for
-    the positions it names.  A triple that two sources give, such as a
-    relation nested in a project and listed in the document too, may be
+    Each position's index maps a value to what holds it there: one triple,
+    or the list of them in filing order; the subject and object positions
+    also map the part of a value after its first ':' to the value, or the
+    list of values, it came from.  Most objects and bare parts are held
+    once, and a list for each made a round of the benchmark's lookup
+    workload about 13% slower, mostly in the garbage collections that their
+    allocation set off.
+
+    The subject index is filed as the store flattens its records: each
+    record's own triples are its subject's list, and each relation, nested
+    or in the document, is filed under its source.  filed is those lists one
+    after another.  The predicate and object indexes are built from filed
+    the first time a pattern binds their position, so a one-shot query pays
+    only for the positions it names.  A triple that two sources give, such
+    as a relation nested in a project and listed in the document too, may be
     filed twice; match and triples return each once.
     """
 
-    def __init__(self, filed: list[Triple]) -> None:
-        self.filed = filed
-        # position (0 subject, 1 predicate, 2 object) -> (value -> triples,
-        # part after the first ':' -> values)
-        self._indexes: dict[int, tuple[dict[str, list[Triple]], dict[str, list[str]]]] = {}
+    def __init__(self, by_subject: dict[str, list[Triple]]) -> None:
+        self.filed = list(chain.from_iterable(by_subject.values()))
+        self._by_subject = by_subject
+        # position (0 subject, 1 predicate, 2 object) -> (index, bare map)
+        self._indexes: dict[int, tuple[dict, dict]] = {}
 
     def triples(self) -> set[Triple]:
         """Every triple."""
         return set(self.filed)
 
-    def _index(self, position: int):
+    def _index(self, position: int) -> tuple[dict, dict]:
         if position not in self._indexes:
-            index: defaultdict[str, list[Triple]] = defaultdict(list)
-            for triple in self.filed:
-                index[triple[position]].append(triple)
-            bare: defaultdict[str, list[str]] = defaultdict(list)
+            if position == 0:
+                index = self._by_subject
+            else:
+                index = {}
+                for triple in self.filed:
+                    value = triple[position]
+                    held = index.get(value)
+                    if held is None:
+                        index[value] = triple
+                    elif type(held) is list:
+                        held.append(triple)
+                    else:
+                        index[value] = [held, triple]
+            bare = {}
             if position != 1:  # predicates match whole only
                 for value in index:
                     if ":" in value:
-                        bare[value.split(":", 1)[1]].append(value)
-            self._indexes[position] = (dict(index), dict(bare))
+                        tail = value.split(":", 1)[1]
+                        held = bare.get(tail)
+                        if held is None:
+                            bare[tail] = value
+                        elif type(held) is list:
+                            held.append(value)
+                        else:
+                            bare[tail] = [held, value]
+            self._indexes[position] = (index, bare)
         return self._indexes[position]
 
-    def match(self, *terms: frozenset[str] | None) -> set[Triple]:
+    def match(self, *terms: frozenset[str] | None) -> list[Triple]:
         """Triples whose subject, predicate and object match their expanded
-        terms, None matching anything."""
+        terms, None matching anything, each once.
+
+        The bound position with the fewest indexed triples for its terms
+        supplies the candidates, each once and in the order its index holds
+        them (dict.fromkeys keeps that order, where a set would scatter it),
+        so sorting the answer meets runs already in order.  A candidate is
+        tested only against the other bound positions: the one that
+        supplied it matches by construction, so a pattern that binds one
+        position tests no triple."""
         found = []
         for position, position_terms in enumerate(terms):
             if position_terms is not None:
                 index, bare = self._index(position)
-                found.append([index[value] for term in position_terms
-                              for value in (term, *bare.get(term, ())) if value in index])
+                lists = [_held(index, value) for term in position_terms
+                         for value in (term, *_held(bare, term))]
+                found.append((sum(map(len, lists)), position, lists))
         if not found:
-            return self.triples()
-        subject_terms, predicate_terms, object_terms = terms
-        smallest = min(found, key=lambda lists: sum(map(len, lists)))
-        return {triple for triple in chain.from_iterable(smallest)
-                if (subject_terms is None or _endpoint_match(triple[0], subject_terms))
-                and (predicate_terms is None or triple[1] in predicate_terms)
-                and (object_terms is None or _endpoint_match(triple[2], object_terms))}
+            return list(dict.fromkeys(self.filed))
+        found.sort()
+        (_, _, lists), *others = found
+        triples = list(dict.fromkeys(chain.from_iterable(lists)))
+        for _, position, _ in others:
+            position_terms = terms[position]
+            if position == 1:
+                triples = [triple for triple in triples if triple[1] in position_terms]
+            else:
+                triples = [triple for triple in triples
+                           if _endpoint_match(triple[position], position_terms)]
+        return triples
 
 
 def _read_index(path: Path) -> dict[str, Provenance]:
@@ -584,17 +714,27 @@ class Store:
         """The indexed view of the current triples, built on first use from
         held snapshot values as they are and from each record's encoding."""
         if self._view is None:
-            filed: list[Triple] = []
+            by_subject: dict[str, list[Triple]] = {}
+            relations: list[Triple] = []
             for key, (record, _) in self._current.items():
+                kind, ident = key
+                subject = f"{kind}:{ident}"
+                by_subject[subject] = own = []
                 if type(record) is not dict:
-                    filed += _record_triples(key, record_values(record))
+                    _emit_record(own, relations, subject, kind, record_values(record))
                     continue
                 try:
-                    filed += _record_triples(key, record)
+                    _emit_record(own, relations, subject, kind, record)
                 except UNREADABLE:
                     raise self._forged(key) from None
-            filed += map(_relation_triple, self._relations)
-            self._view = _TripleView(filed)
+            relations += map(_relation_triple, self._relations)
+            for triple in relations:  # filed under their sources
+                triples = by_subject.get(triple[0])
+                if triples is None:
+                    by_subject[triple[0]] = [triple]
+                else:
+                    triples.append(triple)
+            self._view = _TripleView(by_subject)
         return self._view
 
     def to_triples(self) -> set[Triple]:
@@ -616,16 +756,18 @@ class Store:
         add results.
 
         The bound position with the fewest indexed triples for its expanded
-        terms names the candidates, and only they are tested against every
-        bound position; a pattern with no bound position returns every
-        triple.  The indexed view is built by the first query after a load
-        or a merge, the only ways into the store, and kept until the next
-        merge.
+        terms names the candidates, and only they are tested against the
+        other bound positions; a pattern with no bound position returns
+        every triple.  The indexed view is built by the first query after a
+        load or a merge, the only ways into the store, and kept until the
+        next merge.
         """
         eq = eq if eq is not None else EquivalenceMap()
-        return sorted(self._triple_view().match(
+        triples = self._triple_view().match(
             *(None if term is None else eq.expand(term)
-              for term in (pattern.subject, pattern.predicate, pattern.object))))
+              for term in (pattern.subject, pattern.predicate, pattern.object)))
+        triples.sort()
+        return triples
 
     # -- persistence --------------------------------------------------------
 

@@ -318,6 +318,25 @@ def test_package_reads_the_registry_before_it_writes(tmp_path, capsys,
         assert registry.read_text("utf-8") == registry_text
 
 
+def test_package_refuses_a_registry_that_is_not_a_regular_file(tmp_path):
+    # in a child with a timeout, so that a read that waits on the FIFO for a
+    # writer fails the test
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no FIFOs on this platform")
+    doc = write_doc(tmp_path / "site.rdf", linked_pair())
+    registry = tmp_path / "registry.tsv"
+    os.mkfifo(registry)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cerifrdf.cli", "package", doc, "--mode", "per-object",
+         "--org", "TUWIEN", "--date", "01.02.2003", "--out", str(out),
+         "--registry", str(registry)],
+        capture_output=True, text=True, env=cli_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {registry}: not a regular file\n")
+    assert not out.exists()
+
+
 def test_package_all_mode(tmp_path, capsys):
     doc = write_doc(tmp_path / "site.rdf", linked_pair())
     out = tmp_path / "out"

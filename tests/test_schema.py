@@ -64,8 +64,9 @@ def test_every_used_shape_has_a_triple_maker():
     for shape, value in samples.items():
         encode, decode = snapshot.CODECS[shape]
         assert decode(encode(value)) == value, shape
-        assert store._TRIPLES[shape]("s", "p", encode(value)) == [
-            ("s", "p", SCALAR_TEXT[shape](value))], shape
+        emitted = []
+        store._TRIPLES[shape](emitted, "s", "p", encode(value))
+        assert emitted == [("s", "p", SCALAR_TEXT[shape](value))], shape
 
 
 def test_predicate_is_set_exactly_where_the_field_names_its_triples():

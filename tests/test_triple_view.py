@@ -4,10 +4,11 @@ reference_triples below is Store.to_triples as it stood before the field
 table drove it: one hand-written branch per record kind, flattening every
 current record on every call.  The store now keeps its flattened triples
 until the next merge, so these tests merge new versions of records between
-calls to show a merge never leaves stale triples behind.  The last tests
+calls to show a merge never leaves stale triples behind.  The later tests
 answer random patterns from the indexed view and compare them with
 oracles.reference_query, the scan of every triple it replaced, run over
-reference_triples.
+reference_triples; the last one also checks each index, filed while the
+store flattens its records, against a rescan of every filed triple.
 """
 
 import random
@@ -27,7 +28,7 @@ from cerifrdf.model import (
     TranslationType,
     status_token,
 )
-from cerifrdf.rdfxml import RecordSet, parse_document
+from cerifrdf.rdfxml import RecordSet, parse_document, writer_faults
 from cerifrdf.store import EquivalenceMap, Provenance, SourceKind, Store, TriplePattern
 
 import randgen
@@ -381,3 +382,118 @@ def test_enlarging_an_equivalence_class_only_adds_results():
             for pattern, old, new in zip(patterns, before, after):
                 assert old <= new, (seed, pattern)
             before = after
+
+
+# ---------------------------------------------------------------------------
+# the subject index filed while flattening, against a rescan
+
+def entries(held) -> list:
+    """What an index or bare map holds under a key, as a list: one item
+    stands for itself."""
+    return held if isinstance(held, list) else [held]
+
+
+def assert_indexes_match_a_rescan(store: Store) -> None:
+    view = store._triple_view()
+    assert set(view.filed) == store.to_triples()
+    for position in range(3):
+        index, bare = view._index(position)
+        rescan: dict = {}
+        for triple in view.filed:
+            rescan.setdefault(triple[position], []).append(triple)
+        assert {value: entries(held) for value, held in index.items()} == rescan
+        tails: dict = {}
+        if position != 1:
+            for value in rescan:
+                if ":" in value:
+                    tails.setdefault(value.split(":", 1)[1], []).append(value)
+        assert {tail: entries(held) for tail, held in bare.items()} == tails
+
+
+def writable(rs: RecordSet) -> RecordSet:
+    """*rs* without what the writer refuses, so that a save can hold it."""
+    faulty = {key for key, _ in writer_faults(rs)}
+    return RecordSet({key: record for key, record in rs.records.items() if key not in faulty},
+                     [] if None in faulty else rs.relations)
+
+
+def with_shared_relations(rng: random.Random, rs: RecordSet) -> tuple[RecordSet, list]:
+    """*rs* with a project nesting a relation whose source is another record,
+    and a nested relation listed in the document too, once as it is and
+    once with the other mandatory flag, so that three relations give two
+    triples; returns the set and the two triples."""
+    keys = sorted(rs.records)
+    others = [key for key in keys if key.kind != "project"] or keys
+    nest = RecordKey("project", f"NEST-{rng.randrange(99)}")
+    source = rng.choice(others)
+    target = rng.choice([key for key in keys if key != source] or [nest])
+    own = Relation(nest, source, role="funds")
+    foreign = Relation(source, target, role="cites", mandatory=rng.random() < 0.5)
+    rs.add(Project(id=nest.id, status=ProjectStatus.STARTED, titles=tt("Nest"),
+                   abstracts=tt("A"), relations=(own, foreign)))
+    rs.add_relation(own)
+    rs.add_relation(Relation(own.source, own.target, own.role, not own.mandatory))
+    return rs, [(f"project:{nest.id}", "funds", f"{source.kind}:{source.id}"),
+                (f"{source.kind}:{source.id}", "cites", f"{target.kind}:{target.id}")]
+
+
+def joining_eq(rng: random.Random, store: Store) -> EquivalenceMap:
+    """Predicate spellings, and classes that join the full id of one record
+    with the bare id of a record of another kind."""
+    eq = EquivalenceMap()
+    for spelling in SPELLINGS:
+        eq.add_class(spelling)
+    keys = sorted(store.current)
+    for first in rng.sample(keys, min(3, len(keys))):
+        others = [key for key in keys if key.kind != first.kind]
+        if others:
+            eq.add_class([f"{first.kind}:{first.id}", rng.choice(others).id])
+    return eq
+
+
+SHAPES = [(s, p, o) for s in (False, True) for p in (False, True) for o in (False, True)]
+
+
+def assert_every_shape_matches_the_scan(rng: random.Random, store: Store) -> int:
+    """Each of the eight bound and unbound shapes, with terms that name
+    something and terms that name nothing, with and without classes; the
+    view is built from the records as the store holds them before
+    reference_triples decodes every one."""
+    store._triple_view()
+    triples = reference_triples(store)
+    eq = joining_eq(rng, store)
+    pool = term_pool(store)
+    answered = 0
+    for shape in SHAPES:
+        for _ in range(6):
+            pattern = TriplePattern(*(rng.choice(pool) if bound else None
+                                      for bound in shape))
+            for classes in (eq, EquivalenceMap()):
+                expected = sorted(set(reference_query(triples, pattern, classes)))
+                assert store.query(pattern, classes) == expected, (shape, pattern)
+                answered += bool(expected)
+    return answered
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_subject_index_is_filed_as_a_rescan_would_file_it(tmp_path, seed):
+    rng = random.Random(5200 + seed)
+    make = randgen.flawed_record_set if seed % 2 else randgen.rand_record_set
+    rs, shared = with_shared_relations(rng, writable(make(rng, 8)))
+    store = Store()
+    store.merge(rs, prov("first", randgen.rand_full_date(rng)))
+    store.save(tmp_path)
+    loaded = Store.load(tmp_path)
+    # some records decoded since the load, the rest held as snapshot values
+    for key in rng.sample(sorted(loaded.current), len(loaded.current) // 2):
+        loaded.current[key]
+    assert any(type(entry[0]) is dict for entry in loaded._current.values())
+    assert_indexes_match_a_rescan(loaded)
+    for triple in shared:
+        assert loaded.query(TriplePattern(triple[0], None, None)).count(triple) == 1
+    answered = assert_every_shape_matches_the_scan(rng, loaded)
+    # a merge drops the view; the next one flattens the merged records too
+    loaded.merge(make(rng, 6), prov("second", randgen.rand_full_date(rng)))
+    assert_indexes_match_a_rescan(loaded)
+    answered += assert_every_shape_matches_the_scan(rng, loaded)
+    assert answered > 20
